@@ -77,58 +77,83 @@ let tick k i =
   ensure k (i + 1);
   k.c.(i) <- k.c.(i) + 1
 
-(* dst := dst ⊔ src *)
+(* dst := dst ⊔ src.  Plain loops here and below: [Array.iteri] would
+   allocate a closure per call, and these run on every access. *)
 let join dst src =
-  ensure dst (Array.length src.c);
-  Array.iteri (fun i v -> if v > dst.c.(i) then dst.c.(i) <- v) src.c
+  let s = src.c in
+  ensure dst (Array.length s);
+  let d = dst.c in
+  for i = 0 to Array.length s - 1 do
+    let v = Array.unsafe_get s i in
+    if v > Array.unsafe_get d i then Array.unsafe_set d i v
+  done
 
 (* dst := src *)
 let assign dst src =
-  ensure dst (Array.length src.c);
-  Array.fill dst.c 0 (Array.length dst.c) 0;
-  Array.blit src.c 0 dst.c 0 (Array.length src.c)
+  let n = Array.length src.c in
+  ensure dst n;
+  Array.blit src.c 0 dst.c 0 n;
+  Array.fill dst.c n (Array.length dst.c - n) 0
 
 (* Mix the nonzero components as (index, value) pairs in index order —
    the canonical form of the snapshot. *)
 let mix_clock h k =
+  let c = k.c in
   let h = ref h in
-  Array.iteri
-    (fun i v ->
-      if v <> 0 then begin
-        h := mix !h (i + 1);
-        h := mix !h v
-      end)
-    k.c;
+  for i = 0 to Array.length c - 1 do
+    let v = Array.unsafe_get c i in
+    if v <> 0 then h := mix (mix !h (i + 1)) v
+  done;
   !h
 
 (* ---- the tap ---- *)
 
+(* Lock and location clocks, keyed by int id.  A multiplicative hash
+   spreads location ids — whose low bits hold the field index — over
+   the buckets, and [find] on a hit neither calls the polymorphic
+   [caml_hash] nor allocates an option. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash x = (x * 0x2545F4914F6CDD1D) lsr 20
+end)
+
 type state = {
-  threads : (int, clock) Hashtbl.t;
-  locks : (int, clock) Hashtbl.t;
-  locs : (int, clock) Hashtbl.t; (* last access to each location *)
+  mutable threads : clock array; (* tid -> clock; tids are dense *)
+  locks : clock Itbl.t;
+  locs : clock Itbl.t; (* last access to each location *)
   mutable fp : int;
 }
 
+let thread_clock st tid =
+  let n = Array.length st.threads in
+  if tid >= n then begin
+    st.threads <-
+      Array.init (max (tid + 1) (2 * n)) (fun i ->
+          if i < n then st.threads.(i) else clock ())
+  end;
+  st.threads.(tid)
+
 let clock_of tbl id =
-  match Hashtbl.find_opt tbl id with
-  | Some k -> k
-  | None ->
+  match Itbl.find tbl id with
+  | k -> k
+  | exception Not_found ->
       let k = clock () in
-      Hashtbl.add tbl id k;
+      Itbl.add tbl id k;
       k
 
 let tap () =
   let st =
     {
-      threads = Hashtbl.create 16;
-      locks = Hashtbl.create 16;
-      locs = Hashtbl.create 64;
+      threads = Array.init 8 (fun _ -> clock ());
+      locks = Itbl.create 16;
+      locs = Itbl.create 64;
       fp = fnv_offset;
     }
   in
   let access ~tid ~loc ~kind ~locks:_ ~site:_ =
-    let tc = clock_of st.threads tid in
+    let tc = thread_clock st tid in
     let lc = clock_of st.locs loc in
     (* The access happens after every earlier access to the same
        location (conservative: reads too) and after everything its
@@ -143,18 +168,18 @@ let tap () =
     assign lc tc
   in
   let acquire ~tid ~lock =
-    join (clock_of st.threads tid) (clock_of st.locks lock)
+    join (thread_clock st tid) (clock_of st.locks lock)
   in
   let release ~tid ~lock =
-    join (clock_of st.locks lock) (clock_of st.threads tid)
+    join (clock_of st.locks lock) (thread_clock st tid)
   in
   let thread_start ~parent ~child =
-    let pc = clock_of st.threads parent in
-    join (clock_of st.threads child) pc;
+    let pc = thread_clock st parent in
+    join (thread_clock st child) pc;
     tick pc parent
   in
   let thread_join ~joiner ~joinee =
-    join (clock_of st.threads joiner) (clock_of st.threads joinee)
+    join (thread_clock st joiner) (thread_clock st joinee)
   in
   ( {
       Drd_vm.Sink.null with

@@ -14,8 +14,14 @@ open Link
    scheduler decisions.
 
    Exploration campaigns replay the same program thousands of times, so
-   this loop is where their wall-clock goes; see BENCH_vm.json for the
-   measured effect.
+   this loop is where their wall-clock goes: the layered benchmark's
+   traced runs ([perfbench/run.py --trace 1], rows [vm.run_ms] and
+   [vm.steps_per_s]) measure it, and DESIGN.md §6 records the figures.
+   Two rules keep it cheap (DESIGN.md §12): a PCT quantum that ends
+   with nothing changed refills in place instead of paying a scheduling
+   decision, and the slice loop calls no function of another module
+   (dune's default profile compiles with [-opaque], which turns every
+   such call into an indirect one).
 
    Semantics are bit-identical to the frozen block interpreter
    ([Interp_ref]): the same schedule, the same RNG draws in the same
@@ -28,6 +34,8 @@ open Link
      with them PCT change points and the step limit — are unchanged;
    - the slice budget is spent only by instructions that advance, never
      by terminators or by a blocked retry, exactly as before;
+   - a PCT decision is skipped only when it provably picks the running
+     thread again and draws nothing (see [run_slice]);
    - the ready list is scanned newest-thread-first (the reverse creation
      order the old [thread list] had), so [Random_walk]'s [List.nth]
      draw and PCT's lazy priority assignment consume the RNG
@@ -138,6 +146,10 @@ type st = {
          trace-driven (not [all_accesses]) event model the link-time
          classification assumed; any other config falls back to the
          generic [access] path, which is always exact. *)
+  mutable resched : bool;
+      (* Set by every op that can change a thread's status or a
+         monitor's owner; cleared when a slice starts.  While it is
+         clear, the ready set is the one the last decision saw. *)
   heap : Heap.t;
   globals : Value.t array; (* static field slots *)
   mutable threads : thread array; (* tid -> thread; first [nthreads] live *)
@@ -164,9 +176,63 @@ let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
    validated ([Link.validate]: every register operand is inside its
    method's register file, every pc the interpreter can reach is inside
    [m_code]).  Used ONLY for register files and code fetch — heap-side
-   arrays keep their bounds checks. *)
-let ( .%() ) = Array.unsafe_get
-let ( .%()<- ) = Array.unsafe_set
+   arrays keep their bounds checks.  Declared at their monomorphic
+   types, so the compiler emits a plain load, and a plain [caml_modify]
+   store, with no float-array test. *)
+external ( .%() ) : Value.t array -> int -> Value.t = "%array_unsafe_get"
+
+external ( .%()<- ) : Value.t array -> int -> Value.t -> unit
+  = "%array_unsafe_set"
+
+external code_at : lop array -> int -> lop = "%array_unsafe_get"
+
+(* Module-local restatements of the [Value], [Heap] and [Memloc]
+   helpers the slice loop uses.  Dune's default profile compiles every
+   library with [-opaque], so a call into another module is an indirect
+   call through its module block and is never inlined; these are direct
+   calls or inlined.  Each must agree with its original exactly — the
+   golden suite diffs every value, location and error against
+   [Interp_ref], which calls the originals. *)
+let[@inline] to_int = function
+  | Value.Vint n -> n
+  | _ -> invalid_arg "expected int"
+
+let[@inline] to_bool = function
+  | Value.Vbool b -> b
+  | _ -> invalid_arg "expected boolean"
+
+let vtrue = Value.vtrue
+let vfalse = Value.vfalse
+let[@inline] of_bool b = if b then vtrue else vfalse
+let small_ints = Value.small_ints
+let small_min = Value.small_min
+
+let[@inline] of_int n =
+  let i = n - small_min in
+  if i >= 0 && i < Array.length small_ints then Array.unsafe_get small_ints i
+  else Value.Vint n
+
+let[@inline] heap_get (h : Heap.t) id =
+  if id < 0 || id >= h.Heap.n then invalid_arg "Heap.get: bad id";
+  h.Heap.data.(id)
+
+let object_bits = Memloc.object_tag lsl 1
+let array_bits = Memloc.array_tag lsl 1
+let max_fields = Memloc.max_fields
+
+let[@inline] field_loc ~gran ~obj ~index =
+  match gran with
+  | Memloc.Per_field ->
+      if index >= max_fields then invalid_arg "Memloc.field: too many fields";
+      (obj lsl 11) lor (index lsl 1)
+  | Memloc.Per_object -> (obj lsl 11) lor object_bits
+
+let[@inline] array_loc ~gran ~obj =
+  match gran with
+  | Memloc.Per_field -> (obj lsl 11) lor array_bits
+  | Memloc.Per_object -> (obj lsl 11) lor object_bits
+
+let[@inline] static_loc ~slot = (slot lsl 1) lor 1
 
 (* Grow the heap-indexed side tables to cover heap id [id]. *)
 let ensure st id =
@@ -232,7 +298,7 @@ let class_obj st cid =
     id
   end
 
-let as_ref ~what = function
+let[@inline] as_ref ~what = function
   | Value.Vref o -> o
   | Value.Vnull -> error "NullPointerException (%s)" what
   | _ -> error "type confusion: expected reference (%s)" what
@@ -249,21 +315,23 @@ let value_eq a b =
   | Value.Vnull, Value.Vnull -> true
   | _ -> false
 
-let obj_fields st o =
-  match Heap.get st.heap o with
+let[@inline] obj_fields st o =
+  match heap_get st.heap o with
   | Heap.Obj { fields; _ } -> fields
   | _ -> error "type confusion: expected object #%d" o
 
-let arr_elems st o =
-  match Heap.get st.heap o with
+let[@inline] arr_elems st o =
+  match heap_get st.heap o with
   | Heap.Arr { elems } -> elems
   | _ -> error "type confusion: expected array #%d" o
 
 let emit_access st thr ~loc ~kind ~site =
   st.sink.Sink.access ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
 
-let raw_access st thr ~loc ~kind =
-  if st.cfg.all_accesses then emit_access st thr ~loc ~kind ~site:(-1)
+(* The [all_accesses] event of a plain load or store.  Callers test
+   [st.cfg.all_accesses] first, so the location is computed only when the
+   event is emitted. *)
+let raw_access st thr ~loc ~kind = emit_access st thr ~loc ~kind ~site:(-1)
 
 (* The call hot path: reuse a returned frame of the exact register
    count when one is free, else allocate.  The refill makes reuse
@@ -285,83 +353,61 @@ let recycle_frame st fr =
   let n = Array.length fr.f_regs in
   st.frame_pool.(n) <- fr :: st.frame_pool.(n)
 
-let push_frame st thr mid dst ~copy_args =
-  let m = st.image.i_methods.(mid) in
-  let fr = alloc_frame st m dst in
-  copy_args fr.f_regs;
+(* Push the callee's frame; the caller's slice loop re-enters on it. *)
+let exec_call st thr regs dst target args site =
+  let mid =
+    match target with
+    | Lc_method mid -> mid
+    | Lc_virtual (slot, name) ->
+        let recv =
+          match regs.%(args.(0)) with
+          | Value.Vref recv -> recv
+          | v -> as_ref ~what:("call " ^ name) v
+        in
+        (match st.sink.Sink.call with
+        | Some f -> f ~tid:thr.t_id ~obj:recv ~locks:thr.t_lockset ~site
+        | None -> ());
+        ensure st recv;
+        let cid = st.obj_cls.(recv) in
+        let mid = if cid >= 0 then st.image.i_vtables.(cid).(slot) else -1 in
+        if mid < 0 then
+          error "no method %s on class %s" name (Heap.class_of st.heap recv)
+        else mid
+  in
+  let fr = alloc_frame st st.image.i_methods.(mid) dst in
+  let nregs = fr.f_regs in
+  for k = 0 to Array.length args - 1 do
+    nregs.(k) <- regs.%(args.(k))
+  done;
   thr.t_frames <- fr :: thr.t_frames
 
-(* Execute one non-terminator instruction of the top frame.  [regs] is
-   [frame.f_regs] and [pc] the instruction's slot (the slice loop keeps
-   both in locals and passes them in), so error paths read the line from
-   [m_lines.(pc)].  Returns [false] when the thread must retry the same
-   instruction later (blocked). *)
+(* A plain field access's [all_accesses] event.  The slice loop calls
+   this only when [st.cfg.all_accesses] is set or when [index] is past
+   [Memloc]'s field range: computing the location is what raises in
+   that case, in [Interp_ref] on every access, so the error surfaces
+   at the same step here. *)
+let raw_field_access st thr ~obj ~index ~kind =
+  let loc = field_loc ~gran:st.cfg.granularity ~obj ~index in
+  if st.cfg.all_accesses then raw_access st thr ~loc ~kind
+
+(* Execute one of the less frequent non-terminator instructions of the
+   top frame; the slice loop runs the hot ones, calls and yields
+   itself.  [regs] is [frame.f_regs] and [pc] the instruction's slot
+   (the slice loop keeps both in locals and passes them in), so error
+   paths read the line from [m_lines.(pc)].  Returns [false] when the
+   thread must retry the same instruction later (blocked).
+
+   Every op that can change a thread's status or a monitor's owner —
+   monitor enter/exit, wait, notify, start, join — sets [st.resched]
+   first; so does a thread's exit in [exec_ret].  A new op that can
+   change readiness must join this list (DESIGN.md §12). *)
 let exec_instr st thr frame regs (op : lop) pc : bool =
   match op with
-  | Lconst (d, Ir.Cint n) ->
-      regs.%(d) <- Value.of_int n;
-      true
-  | Lconst (d, Ir.Cbool b) ->
-      regs.%(d) <- Value.of_bool b;
-      true
-  | Lconst (d, Ir.Cnull) ->
-      regs.%(d) <- Value.Vnull;
-      true
-  | Lmove (d, s) ->
-      regs.%(d) <- regs.%(s);
-      true
-  | Lbinop (op, d, l, r) ->
-      let v =
-        match op with
-        | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod ->
-            let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
-            let n =
-              match op with
-              | Ast.Add -> a + b
-              | Ast.Sub -> a - b
-              | Ast.Mul -> a * b
-              | Ast.Div ->
-                  if b = 0 then error "division by zero at line %d" frame.f_meth.m_lines.(pc)
-                  else a / b
-              | Ast.Mod ->
-                  if b = 0 then error "division by zero at line %d" frame.f_meth.m_lines.(pc)
-                  else a mod b
-              | _ -> assert false
-            in
-            Value.of_int n
-        | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-            let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
-            Value.of_bool
-              (match op with
-              | Ast.Lt -> a < b
-              | Ast.Le -> a <= b
-              | Ast.Gt -> a > b
-              | _ -> a >= b)
-        | Ast.Eq -> Value.of_bool (value_eq regs.%(l) regs.%(r))
-        | Ast.Ne -> Value.of_bool (not (value_eq regs.%(l) regs.%(r)))
-        | Ast.And | Ast.Or ->
-            assert false (* expanded into control flow by lowering *)
-      in
-      regs.%(d) <- v;
-      true
   | Lunop (Ast.Neg, d, s) ->
-      regs.%(d) <- Value.of_int (-Value.to_int regs.%(s));
+      regs.%(d) <- of_int (-to_int regs.%(s));
       true
   | Lunop (Ast.Not, d, s) ->
-      regs.%(d) <- Value.of_bool (not (Value.to_bool regs.%(s)));
-      true
-  | Lgetfield (d, o, fm) ->
-      (* The error label is built only on the failure path: [as_ref]'s
-         [~what] argument would otherwise allocate a string per access. *)
-      let obj =
-        match regs.%(o) with
-        | Value.Vref obj -> obj
-        | v -> as_ref ~what:(fm.Ir.fm_name ^ " load") v
-      in
-      regs.%(d) <- (obj_fields st obj).(fm.Ir.fm_index);
-      raw_access st thr
-        ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index:fm.Ir.fm_index)
-        ~kind:Event.Read;
+      regs.%(d) <- of_bool (not (to_bool regs.%(s)));
       true
   | Lputfield (o, fm, s) ->
       let obj =
@@ -369,32 +415,25 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
         | Value.Vref obj -> obj
         | v -> as_ref ~what:(fm.Ir.fm_name ^ " store") v
       in
-      (obj_fields st obj).(fm.Ir.fm_index) <- regs.%(s);
-      raw_access st thr
-        ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index:fm.Ir.fm_index)
-        ~kind:Event.Write;
-      true
-  | Lgetstatic (d, sm) ->
-      regs.%(d) <- st.globals.(sm.Ir.sm_slot);
-      raw_access st thr
-        ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot:sm.Ir.sm_slot)
-        ~kind:Event.Read;
+      let index = fm.Ir.fm_index in
+      (obj_fields st obj).(index) <- regs.%(s);
+      if st.cfg.all_accesses || index >= max_fields then
+        raw_field_access st thr ~obj ~index ~kind:Event.Write;
       true
   | Lputstatic (sm, s) ->
       st.globals.(sm.Ir.sm_slot) <- regs.%(s);
-      raw_access st thr
-        ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot:sm.Ir.sm_slot)
-        ~kind:Event.Write;
-      true
-  | Laload (d, a, idx) ->
-      let arr = as_ref ~what:"array load" regs.%(a) in
-      regs.%(d) <- (arr_elems st arr).(Value.to_int regs.%(idx));
-      raw_access st thr ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr) ~kind:Event.Read;
+      if st.cfg.all_accesses then
+        raw_access st thr
+          ~loc:(static_loc ~slot:sm.Ir.sm_slot)
+          ~kind:Event.Write;
       true
   | Lastore (a, idx, s) ->
       let arr = as_ref ~what:"array store" regs.%(a) in
-      (arr_elems st arr).(Value.to_int regs.%(idx)) <- regs.%(s);
-      raw_access st thr ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr) ~kind:Event.Write;
+      (arr_elems st arr).(to_int regs.%(idx)) <- regs.%(s);
+      if st.cfg.all_accesses then
+        raw_access st thr
+          ~loc:(array_loc ~gran:st.cfg.granularity ~obj:arr)
+          ~kind:Event.Write;
       true
   | Lnewobj (d, cid) ->
       let id =
@@ -410,7 +449,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       regs.%(d) <- Value.Vref id;
       true
   | Lnewarr (d, elem, dims) ->
-      let ds = List.map (fun r -> Value.to_int regs.%(r)) dims in
+      let ds = List.map (fun r -> to_int regs.%(r)) dims in
       List.iter
         (fun n -> if n < 0 then error "negative array size at line %d" frame.f_meth.m_lines.(pc))
         ds;
@@ -420,52 +459,13 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       true
   | Larrlen (d, a) ->
       let arr = as_ref ~what:"length" regs.%(a) in
-      regs.%(d) <- Value.of_int (Array.length (arr_elems st arr));
+      regs.%(d) <- of_int (Array.length (arr_elems st arr));
       true
   | Lclassobj (d, cid) ->
       regs.%(d) <- Value.Vref (class_obj st cid);
       true
-  | Lnullcheck r ->
-      (match regs.%(r) with
-      | Value.Vnull ->
-          error "NullPointerException at %s line %d" frame.f_meth.m_key
-            frame.f_meth.m_lines.(pc)
-      | _ -> ());
-      true
-  | Lboundscheck (a, idx) ->
-      let arr = as_ref ~what:"array access" regs.%(a) in
-      let n = Array.length (arr_elems st arr) in
-      let k = Value.to_int regs.%(idx) in
-      if k < 0 || k >= n then
-        error "ArrayIndexOutOfBoundsException: %d (length %d) at %s line %d" k
-          n frame.f_meth.m_key frame.f_meth.m_lines.(pc);
-      true
-  | Lcall (dst, target, args, site) ->
-      let mid =
-        match target with
-        | Lc_method mid -> mid
-        | Lc_virtual (slot, name) ->
-            let recv =
-              match regs.%(args.(0)) with
-              | Value.Vref recv -> recv
-              | v -> as_ref ~what:("call " ^ name) v
-            in
-            (match st.sink.Sink.call with
-            | Some f -> f ~tid:thr.t_id ~obj:recv ~locks:thr.t_lockset ~site
-            | None -> ());
-            ensure st recv;
-            let cid = st.obj_cls.(recv) in
-            let mid = if cid >= 0 then st.image.i_vtables.(cid).(slot) else -1 in
-            if mid < 0 then
-              error "no method %s on class %s" name (Heap.class_of st.heap recv)
-            else mid
-      in
-      push_frame st thr mid dst ~copy_args:(fun nregs ->
-          for k = 0 to Array.length args - 1 do
-            nregs.(k) <- regs.%(args.(k))
-          done);
-      true
   | Lmonitorenter r -> (
+      st.resched <- true;
       let obj = as_ref ~what:"monitorenter" regs.%(r) in
       let m = monitor_of st obj in
       match m.owner with
@@ -484,6 +484,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
           thr.t_status <- Blocked obj;
           false)
   | Lmonitorexit r ->
+      st.resched <- true;
       let obj = as_ref ~what:"monitorexit" regs.%(r) in
       let m = monitor_of st obj in
       if (match m.owner with Some o -> o <> thr.t_id | None -> true) then
@@ -499,6 +500,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       else Hashtbl.replace thr.t_held obj m.count;
       true
   | Lthreadstart r ->
+      st.resched <- true;
       let obj = as_ref ~what:"start" regs.%(r) in
       ensure st obj;
       if st.thread_of_obj.(obj) >= 0 then
@@ -519,6 +521,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       st.sink.Sink.thread_start ~parent:thr.t_id ~child:child.t_id;
       true
   | Lthreadjoin r ->
+      st.resched <- true;
       let obj = as_ref ~what:"join" regs.%(r) in
       ensure st obj;
       let tid = st.thread_of_obj.(obj) in
@@ -540,6 +543,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
           false
         end
   | Lwait r -> (
+      st.resched <- true;
       let obj = as_ref ~what:"wait" regs.%(r) in
       let m = monitor_of st obj in
       match thr.t_wait with
@@ -575,6 +579,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
               thr.t_status <- Blocked obj;
               false))
   | Lnotify (r, all) ->
+      st.resched <- true;
       let obj = as_ref ~what:"notify" regs.%(r) in
       let m = monitor_of st obj in
       if (match m.owner with Some o -> o <> thr.t_id | None -> true) then
@@ -595,53 +600,59 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
           t.t_status <- Blocked obj)
         woken;
       true
-  | Lyield -> true
   | Lprint (tag, r) ->
       let v = Option.map (fun r -> regs.%(r)) r in
       st.prints <- (tag, v) :: st.prints;
       true
   | Ltrace_field (o, index, kind, site) ->
       let obj = as_ref ~what:"trace" regs.%(o) in
-      emit_access st thr ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index) ~kind ~site;
+      emit_access st thr
+        ~loc:(field_loc ~gran:st.cfg.granularity ~obj ~index)
+        ~kind ~site;
       true
   | Ltrace_static (slot, kind, site) ->
-      emit_access st thr ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot) ~kind ~site;
+      emit_access st thr ~loc:(static_loc ~slot) ~kind ~site;
       true
   | Ltrace_array (a, kind, site) ->
       emit_access st thr
-        ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:(as_ref ~what:"trace" regs.%(a)))
+        ~loc:
+          (array_loc ~gran:st.cfg.granularity
+             ~obj:(as_ref ~what:"trace" regs.%(a)))
         ~kind ~site;
       true
   | Ltrace_field_spec (o, index, kind, site, cell) ->
       let obj = as_ref ~what:"trace" regs.%(o) in
-      let loc = Memloc.field ~gran:st.cfg.granularity ~obj ~index in
+      let loc = field_loc ~gran:st.cfg.granularity ~obj ~index in
       (match st.spec with
       | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
       | None -> emit_access st thr ~loc ~kind ~site);
       true
   | Ltrace_static_spec (slot, kind, site, cell) ->
-      let loc = Memloc.static ~gran:st.cfg.granularity ~slot in
+      let loc = static_loc ~slot in
       (match st.spec with
       | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
       | None -> emit_access st thr ~loc ~kind ~site);
       true
   | Ltrace_array_spec (a, kind, site, cell) ->
       let loc =
-        Memloc.array ~gran:st.cfg.granularity
+        array_loc ~gran:st.cfg.granularity
           ~obj:(as_ref ~what:"trace" regs.%(a))
       in
       (match st.spec with
       | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
       | None -> emit_access st thr ~loc ~kind ~site);
       true
-  | Lgoto _ | Lif _ | Lret _ | Ltrap _ ->
-      assert false (* terminators are handled by the slice loop *)
+  | Lconst _ | Lmove _ | Lbinop _ | Lgetfield _ | Lgetstatic _ | Laload _
+  | Lnullcheck _ | Lboundscheck _ | Lcall _ | Lyield | Lgoto _ | Lif _
+  | Lret _ | Ltrap _ ->
+      assert false (* run by the slice loop itself *)
 
 let exec_ret st thr frame v =
   let value = match v with Some r -> Some frame.f_regs.(r) | None -> None in
   thr.t_frames <- List.tl thr.t_frames;
   (match thr.t_frames with
   | [] ->
+      st.resched <- true;
       thr.t_status <- Finished;
       st.sink.Sink.thread_exit ~tid:thr.t_id
   | caller :: _ -> (
@@ -664,24 +675,45 @@ let ready st t =
   | Joining tid -> (
       match (find_thread st tid).t_status with Finished -> true | _ -> false)
 
-(* Run one scheduling slice of up to [n] instructions on thread [t].
-   Returns when the slice ends, the thread blocks, yields or finishes;
-   the result says whether the slice ended at a [Yield] (the PCT
-   scheduler deprioritizes the yielder so spin-wait loops cannot starve
-   the thread they are waiting on).
+(* The slice loop's register write.  A register often receives the very
+   value it already holds — a loop's constants, a loop-invariant field,
+   a comparison's shared boolean box — and overwriting a field with
+   itself needs no write barrier: the old value stays reachable through
+   it, and a young value there is already in the remembered set.  So
+   the [caml_modify] call is skipped when the two are physically
+   equal. *)
+let[@inline] set_reg regs d v = if regs.%(d) != v then regs.%(d) <- v
+
+(* Run one scheduling slice of up to [quantum] instructions on thread
+   [t].  Returns when the slice ends, the thread blocks, yields or
+   finishes; the result says whether the slice ended at a [Yield] (the
+   PCT scheduler deprioritizes the yielder so spin-wait loops cannot
+   starve the thread they are waiting on).
 
    Terminators are slots in the flat stream, but stay what they were in
-   the block interpreter: one step that costs no slice budget. *)
-let run_slice st t n =
+   the block interpreter: one step that costs no slice budget.
+
+   At a quantum boundary the slice refills its budget in place, instead
+   of returning to the scheduler, when [st.resched] is clear and
+   [st.steps < refill_below].  PCT passes its next change point there
+   (and [Random_walk], whose every decision draws from the RNG, passes
+   0, which never refills).  The skipped decision would pick [t] again
+   and draw nothing: with the flag clear, no thread's readiness and no
+   alive or waiting count has changed since the last decision's scan;
+   below the change point no priority has changed; and whenever that
+   scan found two or more ready threads, [pick_pct] drew all their
+   priorities, so the next decision compares the same numbers.
+
+   The hot ops run in the loop's own match, so the common step costs
+   one dispatch and no call; the rest go through [exec_instr]. *)
+let run_slice st t quantum ~refill_below =
   t.t_status <- Runnable;
+  st.resched <- false;
   let max_steps = st.cfg.max_steps in
   let continue_ = ref true in
   let yielded = ref false in
-  let budget = ref n in
-  while
-    !continue_ && !budget > 0
-    && (match t.t_status with Runnable -> true | _ -> false)
-  do
+  let budget = ref quantum in
+  while !continue_ && (match t.t_status with Runnable -> true | _ -> false) do
     match t.t_frames with
     | [] -> continue_ := false
     | frame :: _ ->
@@ -697,48 +729,148 @@ let run_slice st t n =
         let steps = ref st.steps in
         let inner = ref true in
         while !inner do
-          incr steps;
-          if !steps > max_steps then begin
-            frame.f_pc <- !pc;
-            st.steps <- !steps;
-            error "step limit exceeded"
-          end;
-          match code.%(!pc) with
-          | Lgoto l -> pc := l
-          | Lif (c, tl, fl) ->
-              pc := if Value.to_bool regs.%(c) then tl else fl
-          | Lret v ->
-              inner := false;
+          if !budget <= 0 then begin
+            (* Quantum boundary: refill, or end the slice. *)
+            if (not st.resched) && !steps < refill_below then
+              budget := quantum
+            else begin
+              continue_ := false;
+              inner := false
+            end
+          end
+          else begin
+            incr steps;
+            if !steps > max_steps then begin
               frame.f_pc <- !pc;
               st.steps <- !steps;
-              exec_ret st t frame v
-          | Ltrap msg ->
-              frame.f_pc <- !pc;
-              st.steps <- !steps;
-              error "%s in %s" msg frame.f_meth.m_key
-          | op ->
-              let advanced = exec_instr st t frame regs op !pc in
-              if advanced then begin
-                (* The instruction may have pushed a new frame; [frame]
-                   still designates the frame the instruction came from. *)
+              error "step limit exceeded"
+            end;
+            match code_at code !pc with
+            | Lgoto l -> pc := l
+            | Lif (c, tl, fl) -> pc := if to_bool regs.%(c) then tl else fl
+            | Lconst (d, Ir.Cint n) ->
+                set_reg regs d (of_int n);
+                incr pc;
+                decr budget
+            | Lconst (d, Ir.Cbool b) ->
+                set_reg regs d (of_bool b);
+                incr pc;
+                decr budget
+            | Lconst (d, Ir.Cnull) ->
+                set_reg regs d Value.Vnull;
+                incr pc;
+                decr budget
+            | Lmove (d, s) ->
+                set_reg regs d regs.%(s);
+                incr pc;
+                decr budget
+            | Lbinop (op, d, l, r) ->
+                let v =
+                  match op with
+                  | Ast.Add -> of_int (to_int regs.%(l) + to_int regs.%(r))
+                  | Ast.Sub -> of_int (to_int regs.%(l) - to_int regs.%(r))
+                  | Ast.Mul -> of_int (to_int regs.%(l) * to_int regs.%(r))
+                  | Ast.Div | Ast.Mod ->
+                      let a = to_int regs.%(l) and b = to_int regs.%(r) in
+                      if b = 0 then
+                        error "division by zero at line %d"
+                          frame.f_meth.m_lines.(!pc);
+                      of_int (match op with Ast.Div -> a / b | _ -> a mod b)
+                  | Ast.Lt -> of_bool (to_int regs.%(l) < to_int regs.%(r))
+                  | Ast.Le -> of_bool (to_int regs.%(l) <= to_int regs.%(r))
+                  | Ast.Gt -> of_bool (to_int regs.%(l) > to_int regs.%(r))
+                  | Ast.Ge -> of_bool (to_int regs.%(l) >= to_int regs.%(r))
+                  | Ast.Eq -> of_bool (value_eq regs.%(l) regs.%(r))
+                  | Ast.Ne -> of_bool (not (value_eq regs.%(l) regs.%(r)))
+                  | Ast.And | Ast.Or ->
+                      assert false (* expanded into control flow by lowering *)
+                in
+                set_reg regs d v;
+                incr pc;
+                decr budget
+            | Lgetfield (d, o, fm) ->
+                (* The error label is built only on the failure path:
+                   [as_ref]'s [~what] argument would otherwise allocate a
+                   string per access. *)
+                let obj =
+                  match regs.%(o) with
+                  | Value.Vref obj -> obj
+                  | v -> as_ref ~what:(fm.Ir.fm_name ^ " load") v
+                in
+                let index = fm.Ir.fm_index in
+                set_reg regs d (obj_fields st obj).(index);
+                if st.cfg.all_accesses || index >= max_fields then
+                  raw_field_access st t ~obj ~index ~kind:Event.Read;
+                incr pc;
+                decr budget
+            | Lgetstatic (d, sm) ->
+                set_reg regs d st.globals.(sm.Ir.sm_slot);
+                if st.cfg.all_accesses then
+                  raw_access st t ~loc:(static_loc ~slot:sm.Ir.sm_slot)
+                    ~kind:Event.Read;
+                incr pc;
+                decr budget
+            | Laload (d, a, idx) ->
+                let arr = as_ref ~what:"array load" regs.%(a) in
+                set_reg regs d (arr_elems st arr).(to_int regs.%(idx));
+                if st.cfg.all_accesses then
+                  raw_access st t
+                    ~loc:(array_loc ~gran:st.cfg.granularity ~obj:arr)
+                    ~kind:Event.Read;
+                incr pc;
+                decr budget
+            | Lnullcheck r ->
+                (match regs.%(r) with
+                | Value.Vnull ->
+                    error "NullPointerException at %s line %d"
+                      frame.f_meth.m_key frame.f_meth.m_lines.(!pc)
+                | _ -> ());
+                incr pc;
+                decr budget
+            | Lboundscheck (a, idx) ->
+                let arr = as_ref ~what:"array access" regs.%(a) in
+                let n = Array.length (arr_elems st arr) in
+                let k = to_int regs.%(idx) in
+                if k < 0 || k >= n then
+                  error
+                    "ArrayIndexOutOfBoundsException: %d (length %d) at %s \
+                     line %d"
+                    k n frame.f_meth.m_key frame.f_meth.m_lines.(!pc);
+                incr pc;
+                decr budget
+            | Lcall (dst, target, args, site) ->
+                (* Leave this frame parked at the return pc and re-enter
+                   on the callee's frame. *)
+                exec_call st t regs dst target args site;
                 incr pc;
                 decr budget;
-                match op with
-                | Lyield ->
-                    continue_ := false;
-                    yielded := true;
-                    inner := false
-                | Lcall _ ->
-                    (* A frame was pushed (or the call trapped into an
-                       error) — leave this frame parked at the return
-                       pc and re-enter on the new top frame. *)
-                    inner := false
-                | _ -> if !budget <= 0 then inner := false
-              end
-              else begin
+                inner := false
+            | Lyield ->
+                incr pc;
+                decr budget;
+                yielded := true;
                 continue_ := false;
                 inner := false
-              end
+            | Lret v ->
+                inner := false;
+                frame.f_pc <- !pc;
+                st.steps <- !steps;
+                exec_ret st t frame v
+            | Ltrap msg ->
+                frame.f_pc <- !pc;
+                st.steps <- !steps;
+                error "%s in %s" msg frame.f_meth.m_key
+            | op ->
+                if exec_instr st t frame regs op !pc then begin
+                  incr pc;
+                  decr budget
+                end
+                else begin
+                  (* Blocked: retry this instruction in a later slice. *)
+                  continue_ := false;
+                  inner := false
+                end
+          end
         done;
         frame.f_pc <- !pc;
         st.steps <- !steps
@@ -838,6 +970,7 @@ let run_ctx ?(config = default_config) ~sink (cx : ctx) : result =
         (if config.all_accesses || config.granularity <> Memloc.Per_field then
            None
          else sink.Sink.spec);
+      resched = true;
       heap = cx.cx_heap;
       globals = cx.cx_globals;
       threads = cx.cx_threads;
@@ -871,8 +1004,9 @@ let run_ctx ?(config = default_config) ~sink (cx : ctx) : result =
   (* Thread priorities, indexed by tid (dense, never reused).  [min_int]
      marks "not yet assigned" — real priorities are either non-negative
      (initial draws, change-point ranks) or small negatives (the yield
-     floor), so the sentinel cannot collide. *)
-  let pct_prio = ref (Array.make 8 min_int) in
+     floor), so the sentinel cannot collide.  Starts from the context's
+     pooled array, which [reset_ctx] refilled with the sentinel. *)
+  let pct_prio = ref cx.cx_prio in
   let prio_slot tid =
     if tid >= Array.length !pct_prio then begin
       let b = Array.make (max 8 (2 * (tid + 1))) min_int in
@@ -961,10 +1095,15 @@ let run_ctx ?(config = default_config) ~sink (cx : ctx) : result =
           let k = Random.State.int st.rng !nready in
           let t = st.threads.(st.ready_buf.(k)) in
           let n = 1 + Random.State.int st.rng config.quantum in
-          ignore (run_slice st t n : bool)
+          ignore (run_slice st t n ~refill_below:0 : bool)
       | Pct _ ->
           let t = pick_pct !nready in
-          let yielded = run_slice st t (max config.quantum 1) in
+          let refill_below =
+            match !pct_points with (steps_at, _) :: _ -> steps_at | [] -> max_int
+          in
+          let yielded =
+            run_slice st t (max config.quantum 1) ~refill_below
+          in
           cross_change_points t;
           if yielded then begin
             decr pct_floor;

@@ -221,6 +221,54 @@ let prop_adjacent_swap =
             hb_equal)
         (adjacent_access_pairs ops))
 
+(* ---- pinned values ----
+
+   Fingerprints leave the process: shard files carry them ([explore
+   --emit-obs]) and [merge] folds rows from different binaries.  A
+   rewrite of either tap must therefore reproduce them bit for bit, not
+   merely induce the same classes.  These (raw, hb) pairs were recorded
+   from the original tap implementations, on benchmark runs under the
+   campaign's own run specs (horizon 20000). *)
+let pinned =
+  [
+    ("tsp", E.Strategy.Pct 3, 0, 0x59b949811cd, 0xe2e8312c0f0);
+    ("tsp", E.Strategy.Pct 3, 1, 0xdd26d9dcb8f, 0x313a0bd534e3);
+    ("sor2", E.Strategy.Pct 3, 0, 0x156f7ed6eacd, 0x25da511512e2);
+    ("needle", E.Strategy.Pct 3, 2, 0x1efe188de435, 0x38214d1c619);
+    ("mtrt", E.Strategy.Pct 3, 1, 0x25f70bdd2b36, 0x1d20c4fb0961);
+    ("elevator", E.Strategy.Jitter, 1, 0x38bb9008255b, 0xb605bfa749d);
+    ("hedc", E.Strategy.Sweep, 0, 0x334c7395d65c, 0x3d9c1a6167a3);
+  ]
+
+let test_pinned_values () =
+  let module H = Drd_harness in
+  let module P = H.Pipeline in
+  List.iter
+    (fun (name, strategy, index, raw, hb) ->
+      let b = Option.get (H.Programs.find name) in
+      let c = P.compile H.Config.full ~source:b.H.Programs.b_source in
+      let sp =
+        E.Strategy.spec strategy ~base:c.P.config ~pct_horizon:20_000 index
+      in
+      let vm =
+        {
+          (P.vm_config_of c.P.config) with
+          Drd_vm.Interp.seed = sp.E.Strategy.sp_seed;
+          quantum = sp.E.Strategy.sp_quantum;
+          policy = sp.E.Strategy.sp_policy;
+        }
+      in
+      let raw_tap, raw_fp = E.Explore.fingerprint_tap () in
+      let hb_tap, hb_fp = Hb.tap () in
+      ignore
+        (P.run ~vm ~tap:(Sink.tee raw_tap hb_tap) ~detect:false c : P.result);
+      let label =
+        Printf.sprintf "%s %s #%d" name (E.Strategy.name strategy) index
+      in
+      Alcotest.(check int) (label ^ " raw") raw (raw_fp ());
+      Alcotest.(check int) (label ^ " hb") hb (hb_fp ()))
+    pinned
+
 let suite =
   List.map QCheck_alcotest.to_alcotest [ prop_adjacent_swap ]
   @ [
@@ -234,4 +282,6 @@ let suite =
         `Quick test_commuted_runs_share_class_across_whole_log;
       Alcotest.test_case "affine cancellation regression (avalanche)"
         `Quick test_no_affine_cancellation;
+      Alcotest.test_case "benchmark fingerprints match pinned values" `Quick
+        test_pinned_values;
     ]

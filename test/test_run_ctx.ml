@@ -51,20 +51,25 @@ let summarize (r : H.Pipeline.result) =
   | None -> pr "immut:none\n");
   Buffer.contents b
 
-let vm_for seed =
-  {
-    (H.Pipeline.vm_config_of H.Config.full) with
-    I.seed;
-    quantum = 7;
-    policy = I.Random_walk;
-  }
+let vm_for ?(policy = I.Random_walk) seed =
+  { (H.Pipeline.vm_config_of H.Config.full) with I.seed; quantum = 7; policy }
 
 let test_pipeline_matrix () =
   (* Every benchmark × engine: a seed sweep through ONE reused context
-     equals the same sweep with a fresh context per run.  The [`Ref]
-     engine runs the frozen block interpreter but still pools the
-     detector-side state, so it participates on the small benchmarks. *)
-  let seeds = [ 0; 1; 2 ] in
+     equals the same sweep with a fresh context per run, under both
+     scheduling policies (PCT runs start from the context's pooled
+     priority array).  The [`Ref] engine runs the frozen block
+     interpreter but still pools the detector-side state, so it
+     participates on the small benchmarks. *)
+  let runs =
+    List.concat_map
+      (fun seed ->
+        [
+          ("random", I.Random_walk, seed);
+          ("pct", I.Pct { depth = 3; horizon = 5_000 }, seed);
+        ])
+      [ 0; 1; 2 ]
+  in
   List.iter
     (fun (b : H.Programs.benchmark) ->
       let compiled =
@@ -79,8 +84,8 @@ let test_pipeline_matrix () =
       List.iter
         (fun (ename, engine) ->
           List.iter
-            (fun seed ->
-              let vm = vm_for seed in
+            (fun (pname, policy, seed) ->
+              let vm = vm_for ~policy seed in
               let fresh =
                 summarize (H.Pipeline.run ~vm ~engine compiled)
               in
@@ -88,10 +93,10 @@ let test_pipeline_matrix () =
                 summarize (H.Pipeline.run ~ctx ~vm ~engine compiled)
               in
               Alcotest.(check string)
-                (Printf.sprintf "%s/%s/seed %d: reused ctx byte-identical"
-                   b.H.Programs.b_name ename seed)
+                (Printf.sprintf "%s/%s/%s seed %d: reused ctx byte-identical"
+                   b.H.Programs.b_name ename pname seed)
                 fresh reused)
-            seeds)
+            runs)
         engines)
     H.Programs.benchmarks
 

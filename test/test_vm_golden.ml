@@ -198,6 +198,65 @@ let test_record_log name source () =
   Alcotest.(check int)
     (name ^ " record_log steps") r_ref.Interp.r_steps r_lin.Interp.r_steps
 
+(* ---- PCT identity across quanta, depths and generated programs ----
+
+   The slice loop skips a PCT decision at a quantum boundary when no op
+   since the last decision could have changed readiness (DESIGN.md
+   §12).  A readiness-changing op that forgets to say so diverges from
+   [Interp_ref] only at some quanta and on some sync idioms, which the
+   three strategy specs above never reach; so every program also runs
+   under PCT at every quantum, depth and seed below, the generated
+   arena programs adding idioms the benchmarks lack.  The horizon is the
+   program's own step count, so the change points land inside the
+   run. *)
+let grid_quanta = [ 1; 2; 5; 20 ]
+let grid_depths = [ 1; 3 ]
+let grid_seeds = [ 1; 2; 3; 4; 5; 6 ]
+
+let generated =
+  List.map
+    (fun (sp : Drd_arena.Gen.spec) ->
+      ( Printf.sprintf "gen7#%d" sp.Drd_arena.Gen.sp_index,
+        Drd_arena.Gen.emit sp ))
+    (Drd_arena.Gen.generate ~seed:7 ~count:40 ())
+
+let test_pct_grid programs () =
+  List.iter
+    (fun (name, source) ->
+      let compiled = compiled_of name source in
+      let base = Pipeline.vm_config_of compiled.Pipeline.config in
+      let horizon =
+        match Pipeline.run ~vm:base ~detect:false compiled with
+        | r -> max 1 r.Pipeline.steps
+        | exception Interp.Runtime_error _ -> 20_000
+      in
+      List.iter
+        (fun quantum ->
+          List.iter
+            (fun depth ->
+              List.iter
+                (fun seed ->
+                  let vm =
+                    {
+                      base with
+                      Interp.seed;
+                      quantum;
+                      policy = Interp.Pct { depth; horizon };
+                    }
+                  in
+                  let label =
+                    Printf.sprintf "%s pct(d=%d) quantum %d seed %d" name depth
+                      quantum seed
+                  in
+                  let a = observe ~engine:`Ref compiled vm in
+                  check_obs label a (observe ~engine:`Linked compiled vm);
+                  check_obs (label ^ " [spec]") a
+                    (observe ~engine:`Spec compiled vm))
+                grid_seeds)
+            grid_depths)
+        grid_quanta)
+    programs
+
 let suite =
   let strategies =
     [ Strategy.Sweep; Strategy.Jitter; Strategy.Pct 3 ]
@@ -216,5 +275,13 @@ let suite =
           Alcotest.test_case
             (name ^ " record_log byte-identical")
             `Quick (test_record_log name source);
+          Alcotest.test_case
+            (name ^ " x pct grid byte-identical")
+            `Quick
+            (test_pct_grid [ (name, source) ]);
         ])
     sources
+  @ [
+      Alcotest.test_case "generated (seed 7) x pct grid byte-identical" `Quick
+        (test_pct_grid generated);
+    ]
