@@ -26,7 +26,10 @@ type stats = {
   trie_nodes : int;
 }
 
-type history = Htries of (Event.loc_id, Trie.t) Hashtbl.t | Hpacked of Trie_packed.t
+type history = Htries of Trie.t Int_tbl.t | Hpacked of Trie_packed.t
+
+(* Filler for the free slots of the per-location trie tables. *)
+let no_trie = Trie.create ()
 
 type eviction = { ev_high : int; ev_low : int; ev_track : bool }
 
@@ -52,11 +55,12 @@ let eviction ?low ?(track = false) ~high () =
    retired location re-enters the detector as a brand-new location. *)
 type evict_state = {
   ev : eviction;
-  last_access : (Event.loc_id, int ref) Hashtbl.t;
-  ever_evicted : (Event.loc_id, unit) Hashtbl.t;
+  last_access : int Int_tbl.t;
+  ever_evicted : unit Int_tbl.t;
       (** Only populated under [ev_track] (a test/debug aid: it grows
           with the number of retired locations, which an indefinite
           stream does not bound). *)
+  mutable scratch : int array;  (** eviction's working array *)
   mutable evicted : int;
 }
 
@@ -86,7 +90,7 @@ let create ?(config = default_config) ?eviction collector =
     config;
     history =
       (match config.history with
-      | Per_location -> Htries (Hashtbl.create 1024)
+      | Per_location -> Htries (Int_tbl.create 512 no_trie)
       | Packed -> Hpacked (Trie_packed.create ()));
     caches = Array.make 16 None;
     own = Ownership.create ();
@@ -96,8 +100,9 @@ let create ?(config = default_config) ?eviction collector =
         (fun ev ->
           {
             ev;
-            last_access = Hashtbl.create 1024;
-            ever_evicted = Hashtbl.create (if ev.ev_track then 1024 else 0);
+            last_access = Int_tbl.create 512 0;
+            ever_evicted = Int_tbl.create (if ev.ev_track then 512 else 0) ();
+            scratch = [||];
             evicted = 0;
           })
         eviction;
@@ -131,69 +136,113 @@ let process_history d (e : Event.t) =
   match d.history with
   | Hpacked h -> Trie_packed.process h e
   | Htries tries -> (
-      match Hashtbl.find tries e.loc with
+      match Int_tbl.find tries e.loc with
       | trie -> Trie.process trie e
       | exception Not_found ->
           let trie = Trie.create () in
-          Hashtbl.add tries e.loc trie;
+          Int_tbl.replace tries e.loc trie;
           Trie.process trie e)
+
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+(* The element of rank [k] (0-based) among the distinct ints
+   [a.(lo..hi)], by quickselect with a median-of-three pivot; reorders
+   that range.  Expected linear time; once [depth] recursions are spent
+   (an adversarial order) the remaining range is sorted instead, so the
+   worst case stays O(n log n). *)
+let rec select (a : int array) lo hi k depth =
+  if lo = hi then a.(lo)
+  else if depth = 0 then begin
+    let r = Array.sub a lo (hi - lo + 1) in
+    Array.sort Int.compare r;
+    r.(k - lo)
+  end
+  else
+    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi) in
+    let p =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while a.(!j) > p do decr j done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    (* Now a.(lo..j) <= p <= a.(i..hi), and whatever lies between is p. *)
+    if k <= !j then select a lo !j k (depth - 1)
+    else if k >= !i then select a !i hi k (depth - 1)
+    else p
 
 (* Retire the least-recently-accessed locations until only [ev_low]
    remain tracked.  Everything keyed by a retired location goes in the
    same breath — trie, ownership state, cache entries, clock — because
    any survivor would re-assert facts (hit-implies-weaker, owned-means-
-   invisible) whose justification was just deleted.  The location being
-   processed right now is never retired: it is by construction the most
-   recently accessed.  Cost is O(n log n) in the tracked-location count,
-   paid once per (high - low) fresh locations, so amortized logarithmic
-   per newly seen location and zero for a stream over a stable set. *)
-let run_eviction d es ~current_loc =
+   invisible) whose justification was just deleted.  The stamps are
+   the [events_in] clock, so they are distinct and "the [k] oldest" is
+   one well-defined set: every location whose stamp is at most the
+   stamp of rank [k - 1].  The location being processed right now holds
+   the newest stamp, so it is never retired.  Cost is linear in the
+   tracked-location count (two passes over the clock table plus a
+   quickselect), paid once per (high - low) fresh locations, so
+   amortized constant per newly seen location and zero for a stream
+   over a stable set. *)
+let run_eviction d es =
   let tries =
     match d.history with Htries t -> t | Hpacked _ -> assert false
   in
-  let live = Hashtbl.length es.last_access in
-  let arr = Array.make live (0, 0) in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun loc last ->
-      arr.(!i) <- (!last, loc);
-      incr i)
-    es.last_access;
-  Array.sort compare arr;
-  let to_evict = live - es.ev.ev_low in
+  let live = Int_tbl.length es.last_access in
+  if Array.length es.scratch < live then es.scratch <- Array.make (2 * live) 0;
+  let a = es.scratch in
   let n = ref 0 in
-  (try
-     Array.iter
-       (fun (_, loc) ->
-         if !n >= to_evict then raise Exit;
-         if loc <> current_loc then begin
-           Hashtbl.remove es.last_access loc;
-           Hashtbl.remove tries loc;
-           Ownership.forget d.own loc;
-           if d.config.use_cache then
-             Array.iter
-               (function Some c -> Cache.evict_loc c loc | None -> ())
-               d.caches;
-           if es.ev.ev_track then Hashtbl.replace es.ever_evicted loc ();
-           es.evicted <- es.evicted + 1;
-           incr n
-         end)
-       arr
-   with Exit -> ())
+  Int_tbl.iter
+    (fun _ stamp ->
+      a.(!n) <- stamp;
+      incr n)
+    es.last_access;
+  let k = min (live - es.ev.ev_low) (live - 1) in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+  let cutoff = select a 0 (live - 1) (k - 1) (2 * log2 live + 8) in
+  n := 0;
+  Int_tbl.iter
+    (fun loc stamp ->
+      if stamp <= cutoff then begin
+        a.(!n) <- loc;
+        incr n
+      end)
+    es.last_access;
+  for i = 0 to k - 1 do
+    let loc = a.(i) in
+    Int_tbl.remove es.last_access loc;
+    Int_tbl.remove tries loc;
+    Ownership.forget d.own loc;
+    if d.config.use_cache then
+      Array.iter
+        (function Some c -> Cache.evict_loc c loc | None -> ())
+        d.caches;
+    if es.ev.ev_track then Int_tbl.replace es.ever_evicted loc ()
+  done;
+  es.evicted <- es.evicted + k
 
 (* Update the location's last-access clock (inserting it if new) and
    trigger eviction when the tracked-location count crosses the high
-   watermark.  Runs on {e every} access, including cache hits: a
-   location kept hot purely by one thread's cache must not be retired,
-   or the cached hit-implies-weaker guarantee would outlive the history
-   that justifies it. *)
+   watermark — which only a new location can do, since eviction leaves
+   at most [max low 1] tracked.  Runs on {e every} access, including
+   cache hits: a location kept hot purely by one thread's cache must not
+   be retired, or the cached hit-implies-weaker guarantee would outlive
+   the history that justifies it. *)
 let touch_loc d es loc =
-  (match Hashtbl.find es.last_access loc with
-  | r -> r := d.events_in
-  | exception Not_found ->
-      Hashtbl.add es.last_access loc (ref d.events_in);
-      if Hashtbl.length es.last_access > es.ev.ev_high then
-        run_eviction d es ~current_loc:loc)
+  Int_tbl.replace es.last_access loc d.events_in;
+  if Int_tbl.length es.last_access > es.ev.ev_high then run_eviction d es
 
 type outcome = Cache_hit | Owned_skip | Reached
 
@@ -285,14 +334,14 @@ let on_thread_exit d ~thread =
    cache for the next execution). *)
 let reset d =
   (match d.history with
-  | Htries tries -> Hashtbl.clear tries
+  | Htries tries -> Int_tbl.clear tries
   | Hpacked h -> Trie_packed.clear h);
   Array.iter (function Some c -> Cache.reset c | None -> ()) d.caches;
   Ownership.reset d.own;
   (match d.evict with
   | Some es ->
-      Hashtbl.clear es.last_access;
-      Hashtbl.clear es.ever_evicted;
+      Int_tbl.clear es.last_access;
+      Int_tbl.clear es.ever_evicted;
       es.evicted <- 0
   | None -> ());
   d.events_in <- 0;
@@ -305,15 +354,15 @@ let evictions d = match d.evict with Some es -> es.evicted | None -> 0
 
 let live_locations d =
   match d.evict with
-  | Some es -> Hashtbl.length es.last_access
+  | Some es -> Int_tbl.length es.last_access
   | None -> (
       match d.history with
-      | Htries tries -> Hashtbl.length tries
+      | Htries tries -> Int_tbl.length tries
       | Hpacked h -> Trie_packed.locations h)
 
 let was_evicted d loc =
   match d.evict with
-  | Some es when es.ev.ev_track -> Hashtbl.mem es.ever_evicted loc
+  | Some es when es.ev.ev_track -> Int_tbl.mem es.ever_evicted loc
   | Some _ ->
       invalid_arg "Detector.was_evicted: eviction was created without ~track"
   | None -> false
@@ -322,12 +371,12 @@ let stats d =
   let trie_nodes =
     match d.history with
     | Htries tries ->
-        Hashtbl.fold (fun _ t acc -> acc + Trie.node_count t) tries 0
+        Int_tbl.fold (fun _ t acc -> acc + Trie.node_count t) tries 0
     | Hpacked h -> Trie_packed.node_count h
   in
   let locations =
     match d.history with
-    | Htries tries -> Hashtbl.length tries
+    | Htries tries -> Int_tbl.length tries
     | Hpacked h -> Trie_packed.locations h
   in
   {

@@ -49,6 +49,11 @@ val entry_of_line : string -> (entry option, string) result
     entry point — the serve daemon decodes each line as it arrives
     without buffering the stream; {!of_channel} is a fold over it. *)
 
+val entry_of_substring : string -> int -> int -> (entry option, string) result
+(** [entry_of_substring s pos len] is [entry_of_line (String.sub s pos
+    len)] without the copy: the daemon decodes lines where they lie in
+    its connection buffer.  The line is only read during the call. *)
+
 val of_channel : in_channel -> t
 (** Parse a log serialized by {!to_channel}.  Raises [Failure] on
     malformed input, with a message naming the 1-based line number,

@@ -33,16 +33,18 @@ type universe = {
   mutable masks : int array; (* id -> dense bitmask, or [no_mask] *)
   mutable count : int;
   by_locks : (int list, int) Hashtbl.t; (* sorted locks -> id *)
-  dense : (int, int) Hashtbl.t; (* lock id -> dense bit index *)
+  dense : int Int_tbl.t; (* lock id -> dense bit index *)
   mutable ndense : int;
-  rel : (int, int) Hashtbl.t;
+  rel : int Int_tbl.t;
       (* pair key -> relation flags, for id pairs outside the bitmask
          fast path: bit0 subset-known, bit1 subset, bit2 disjoint-known,
          bit3 disjoint *)
-  add_memo : (int, int) Hashtbl.t; (* (id, lock) -> id *)
-  remove_memo : (int, int) Hashtbl.t; (* (id, lock) -> id *)
-  inter_memo : (int, int) Hashtbl.t; (* (id, id) -> id *)
-  union_memo : (int, int) Hashtbl.t; (* (id, id) -> id *)
+  add_memo : int Int_tbl.t; (* (id, lock) -> id *)
+  remove_memo : int Int_tbl.t; (* (id, lock) -> id *)
+  inter_memo : int Int_tbl.t; (* (id, id) -> id *)
+  union_memo : int Int_tbl.t; (* (id, id) -> id *)
+  seq_next : int Int_tbl.t; (* (node, lock) -> seq *)
+  mutable nseq : int; (* sequence trie nodes *)
 }
 
 let create_universe () =
@@ -53,13 +55,15 @@ let create_universe () =
       masks = Array.make 64 0;
       count = 1;
       by_locks = Hashtbl.create 256;
-      dense = Hashtbl.create 64;
+      dense = Int_tbl.create 64 0;
       ndense = 0;
-      rel = Hashtbl.create 256;
-      add_memo = Hashtbl.create 256;
-      remove_memo = Hashtbl.create 256;
-      inter_memo = Hashtbl.create 64;
-      union_memo = Hashtbl.create 64;
+      rel = Int_tbl.create 256 0;
+      add_memo = Int_tbl.create 256 0;
+      remove_memo = Int_tbl.create 256 0;
+      inter_memo = Int_tbl.create 64 0;
+      union_memo = Int_tbl.create 64 0;
+      seq_next = Int_tbl.create 256 0;
+      nseq = 1 (* node 0: the empty sequence *);
     }
   in
   (* id 0 is the empty lockset in every universe. *)
@@ -75,12 +79,12 @@ let u () = Domain.DLS.get dls_key
 let pair_key a b = (a lsl 31) lor b
 
 let dense_of u lock =
-  match Hashtbl.find u.dense lock with
+  match Int_tbl.find u.dense lock with
   | i -> i
   | exception Not_found ->
       let i = u.ndense in
       u.ndense <- i + 1;
-      Hashtbl.add u.dense lock i;
+      Int_tbl.replace u.dense lock i;
       i
 
 let grow u =
@@ -128,6 +132,59 @@ let of_list ls =
   let set = Lockset.of_list ls in
   intern set
 
+(* Lock sequences, as a decoder reads them: a trie over the locks in
+   written order whose nodes are numbered densely, with the edge (node,
+   lock) packed into one memo key.  A [seq] packs its node with the id
+   of the sequence ending there (+1; 0 while it is only a prefix), so
+   reading the id takes no table lookup.  Only locks in [0, 2^31) pack;
+   a sequence holding any other lock is never memoized. *)
+type seq = int
+
+type seq_memo = int Int_tbl.t
+
+let seq_pack node id = (node lsl 31) lor (id + 1)
+
+let seq_empty = seq_pack 0 empty
+
+let packs l = l >= 0 && l < 1 lsl 31
+
+let seq_memo () = (u ()).seq_next
+
+let seq_add memo s l =
+  if s < 0 || not (packs l) then -1
+  else
+    match Int_tbl.find memo (pair_key (s lsr 31) l) with
+    | s' -> s'
+    | exception Not_found -> -1
+
+let seq_id s = if s < 0 then -1 else (s land ((1 lsl 31) - 1)) - 1
+
+let of_seq_list ls =
+  let id = of_list ls in
+  let u = u () in
+  (* Walk the sequence's edges, adding missing nodes as prefixes; the
+     result is the key of the last edge, or -1. *)
+  let rec walk node k = function
+    | [] -> k
+    | l :: tl when packs l && u.nseq < 1 lsl 31 ->
+        let k = pair_key node l in
+        let s =
+          match Int_tbl.find u.seq_next k with
+          | s -> s
+          | exception Not_found ->
+              let s = seq_pack u.nseq (-1) in
+              u.nseq <- u.nseq + 1;
+              Int_tbl.replace u.seq_next k s;
+              s
+        in
+        walk (s lsr 31) k tl
+    | _ :: _ -> -1
+  in
+  let k = walk 0 (-1) ls in
+  if k >= 0 && id + 1 < 1 lsl 31 then
+    Int_tbl.replace u.seq_next k (seq_pack (Int_tbl.find u.seq_next k lsr 31) id);
+  id
+
 let set_of id = (u ()).sets.(id)
 
 let sorted_array id = (u ()).sorted.(id)
@@ -159,7 +216,7 @@ let mem l id =
     let u = u () in
     let m = u.masks.(id) in
     if m <> no_mask then
-      match Hashtbl.find u.dense l with
+      match Int_tbl.find u.dense l with
       | i -> i < mask_bits && m land (1 lsl i) <> 0
       | exception Not_found -> false
     else mem_sorted u.sorted.(id) l
@@ -185,7 +242,7 @@ let disjoint_arrays (a : int array) (b : int array) =
   in
   go 0 0
 
-let rel_flags u k = match Hashtbl.find u.rel k with f -> f | exception Not_found -> 0
+let rel_flags u k = match Int_tbl.find u.rel k with f -> f | exception Not_found -> 0
 
 let subset a b =
   a = b || a = 0
@@ -199,7 +256,7 @@ let subset a b =
     if f land 1 <> 0 then f land 2 <> 0
     else begin
       let v = subset_arrays u.sorted.(a) u.sorted.(b) in
-      Hashtbl.replace u.rel k (f lor 1 lor (if v then 2 else 0));
+      Int_tbl.replace u.rel k (f lor 1 lor (if v then 2 else 0));
       v
     end
   end
@@ -217,7 +274,7 @@ let disjoint a b =
        if f land 4 <> 0 then f land 8 <> 0
        else begin
          let v = disjoint_arrays u.sorted.(a) u.sorted.(b) in
-         Hashtbl.replace u.rel k (f lor 4 lor (if v then 8 else 0));
+         Int_tbl.replace u.rel k (f lor 4 lor (if v then 8 else 0));
          v
        end
      end
@@ -227,12 +284,12 @@ let add l id =
   else
     let u = u () in
     let k = pair_key id l in
-    match Hashtbl.find u.add_memo k with
+    match Int_tbl.find u.add_memo k with
     | id' -> id'
     | exception Not_found ->
         let set = Lockset.add l u.sets.(id) in
         let id' = intern_sorted u (Lockset.to_sorted_list set) set in
-        Hashtbl.add u.add_memo k id';
+        Int_tbl.replace u.add_memo k id';
         id'
 
 let remove l id =
@@ -240,12 +297,12 @@ let remove l id =
   else
     let u = u () in
     let k = pair_key id l in
-    match Hashtbl.find u.remove_memo k with
+    match Int_tbl.find u.remove_memo k with
     | id' -> id'
     | exception Not_found ->
         let set = Lockset.remove l u.sets.(id) in
         let id' = intern_sorted u (Lockset.to_sorted_list set) set in
-        Hashtbl.add u.remove_memo k id';
+        Int_tbl.replace u.remove_memo k id';
         id'
 
 let singleton l = add l empty
@@ -256,12 +313,12 @@ let inter a b =
   else
     let u = u () in
     let k = if a < b then pair_key a b else pair_key b a in
-    match Hashtbl.find u.inter_memo k with
+    match Int_tbl.find u.inter_memo k with
     | id -> id
     | exception Not_found ->
         let set = Lockset.inter u.sets.(a) u.sets.(b) in
         let id = intern_sorted u (Lockset.to_sorted_list set) set in
-        Hashtbl.add u.inter_memo k id;
+        Int_tbl.replace u.inter_memo k id;
         id
 
 let union a b =
@@ -270,12 +327,12 @@ let union a b =
   else
     let u = u () in
     let k = if a < b then pair_key a b else pair_key b a in
-    match Hashtbl.find u.union_memo k with
+    match Int_tbl.find u.union_memo k with
     | id -> id
     | exception Not_found ->
         let set = Lockset.union u.sets.(a) u.sets.(b) in
         let id = intern_sorted u (Lockset.to_sorted_list set) set in
-        Hashtbl.add u.union_memo k id;
+        Int_tbl.replace u.union_memo k id;
         id
 
 let fold f id init = Lockset.fold f (set_of id) init

@@ -34,6 +34,39 @@ val intern : Lockset.t -> id
 
 val of_list : int list -> id
 
+(** {2 Lock sequences}
+
+    A log decoder reads an access's locks one at a time, in written
+    order.  These functions memoize each such sequence (per domain,
+    like the universe) to the id {!of_list} gave it, so a decoder that
+    meets a known sequence again interns it with one int-keyed probe
+    per lock, building no set and no list.  A sequence becomes known
+    when {!of_seq_list} interns it.  Sequences holding a lock outside
+    [\[0, 2^31)] are never memoized (the memo key packs a lock into 31
+    bits) and always take {!of_seq_list}. *)
+
+type seq = private int
+
+type seq_memo
+(** This domain's memo, fetched once per decoded line. *)
+
+val seq_memo : unit -> seq_memo
+
+val seq_empty : seq
+(** The sequence of no locks; known from the start. *)
+
+val seq_add : seq_memo -> seq -> int -> seq
+(** The sequence extended by one lock, or a negative value when that
+    extension is not memoized.  Negative sequences are absorbing. *)
+
+val seq_id : seq -> id
+(** The id of a known sequence, read without a lookup; [-1] for a
+    negative sequence or for one that is only a prefix of known
+    sequences. *)
+
+val of_seq_list : int list -> id
+(** {!of_list}, also memoizing the list as a known sequence. *)
+
 val set_of : id -> Lockset.t
 (** The canonical {!Lockset.t} the id denotes; O(1), returns the shared
     hash-consed set. *)

@@ -15,23 +15,31 @@ let pp_race names ppf (r : race) =
 
 type collector = {
   mutable acc : race list; (* reverse order *)
-  seen : (Event.loc_id, unit) Hashtbl.t;
+  seen : unit Int_tbl.t;
 }
 
-let collector () = { acc = []; seen = Hashtbl.create 64 }
+let collector () = { acc = []; seen = Int_tbl.create 32 () }
 
 let reset c =
   c.acc <- [];
-  Hashtbl.clear c.seen
+  Int_tbl.clear c.seen
 
 let add c r =
-  if not (Hashtbl.mem c.seen r.loc) then begin
-    Hashtbl.replace c.seen r.loc ();
+  if not (Int_tbl.mem c.seen r.loc) then begin
+    Int_tbl.replace c.seen r.loc ();
     c.acc <- r :: c.acc
   end
 
 let races c = List.rev c.acc
-let count c = Hashtbl.length c.seen
+let count c = Int_tbl.length c.seen
+
+(* The newest [count c - i] races sit at the head of [acc]. *)
+let races_from c i =
+  let rec take n l acc =
+    match l with r :: tl when n > 0 -> take (n - 1) tl (r :: acc) | _ -> acc
+  in
+  take (count c - i) c.acc []
+
 let racy_locs c = List.rev_map (fun r -> r.loc) c.acc
 
 let pp names ppf c =

@@ -31,6 +31,12 @@ val races : collector -> race list
 (** All recorded reports in order of detection (first report per
     location only). *)
 
+val races_from : collector -> int -> race list
+(** [races_from c i] is the suffix of {!races} after its first [i]
+    elements, in time proportional to its length: a streaming consumer
+    that has seen [i] races takes the new ones without walking the
+    rest. *)
+
 val count : collector -> int
 (** Number of distinct racy locations reported. *)
 

@@ -108,23 +108,17 @@ let mix_clock h k =
 
 (* ---- the tap ---- *)
 
-(* Lock and location clocks, keyed by int id.  A multiplicative hash
-   spreads location ids — whose low bits hold the field index — over
-   the buckets, and [find] on a hit neither calls the polymorphic
-   [caml_hash] nor allocates an option. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash x = (x * 0x2545F4914F6CDD1D) lsr 20
-end)
-
+(* Lock and location clocks, keyed by int id in [Int_tbl]: a probe
+   neither calls the polymorphic [caml_hash] nor allocates. *)
 type state = {
   mutable threads : clock array; (* tid -> clock; tids are dense *)
-  locks : clock Itbl.t;
-  locs : clock Itbl.t; (* last access to each location *)
+  locks : clock Int_tbl.t;
+  locs : clock Int_tbl.t; (* last access to each location *)
   mutable fp : int;
 }
+
+(* Filler for the free slots of the clock tables. *)
+let no_clock = clock ()
 
 let thread_clock st tid =
   let n = Array.length st.threads in
@@ -136,19 +130,19 @@ let thread_clock st tid =
   st.threads.(tid)
 
 let clock_of tbl id =
-  match Itbl.find tbl id with
+  match Int_tbl.find tbl id with
   | k -> k
   | exception Not_found ->
       let k = clock () in
-      Itbl.add tbl id k;
+      Int_tbl.replace tbl id k;
       k
 
 let tap () =
   let st =
     {
       threads = Array.init 8 (fun _ -> clock ());
-      locks = Itbl.create 16;
-      locs = Itbl.create 64;
+      locks = Int_tbl.create 16 no_clock;
+      locs = Int_tbl.create 64 no_clock;
       fp = fnv_offset;
     }
   in

@@ -28,10 +28,10 @@ type inbound = Control of control | Payload
    are payload for an obs session, not control. *)
 let obs_payload_tags = [ "spec"; "run"; "failure" ]
 
-let classify_line line =
-  if String.length line = 0 || line.[0] <> '{' then Ok Payload
+let classify_substring s pos len =
+  if len = 0 || s.[pos] <> '{' then Ok Payload
   else
-    match Wire.json_of_string line with
+    match Wire.json_of_string (String.sub s pos len) with
     | Error m -> Error ("bad control frame: " ^ m)
     | Ok j -> (
         match Wire.member "t" j with
@@ -77,6 +77,8 @@ let classify_line line =
                      v protocol_version)
             | _ -> Error "control frame has no protocol version")
         | _ -> Error "control frame has no type tag")
+
+let classify_line line = classify_substring line 0 (String.length line)
 
 let line tag fields =
   Wire.json_to_string

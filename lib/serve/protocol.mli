@@ -54,6 +54,10 @@ val classify_line : string -> (inbound, string) result
     yield [Payload], anything else (or a future protocol version) is an
     error. *)
 
+val classify_substring : string -> int -> int -> (inbound, string) result
+(** [classify_substring s pos len] is [classify_line (String.sub s pos
+    len)], copying only a JSON line. *)
+
 val control_to_line : control -> string
 (** Encode a control frame (for clients and tests). *)
 

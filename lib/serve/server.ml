@@ -22,9 +22,9 @@ type outcome =
   | Shutdown_req
   | Fatal of string  (** input error: error frame sent, drop the peer *)
 
-let chomp_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+(* The length of the line [s.[pos..pos+len)] without a trailing CR. *)
+let chomp_cr s pos len =
+  if len > 0 && s.[pos + len - 1] = '\r' then len - 1 else len
 
 let absorb metrics s =
   Metrics.absorb_session metrics ~events:(Session.events s)
@@ -114,32 +114,33 @@ let handle_control conf metrics conn ~live = function
       | Error m -> Fatal m)
   | Protocol.Shutdown -> Shutdown_req
 
-let handle_line conf metrics conn ~live line =
+(* The line is [s.[pos..pos+len)]; [s] is only read during the call. *)
+let handle_line conf metrics conn ~live s pos len =
   Metrics.on_line metrics;
-  match Protocol.classify_line line with
+  match Protocol.classify_substring s pos len with
   | Error m -> fatal metrics conn m
   | Ok (Protocol.Control c) -> handle_control conf metrics conn ~live c
   | Ok Protocol.Payload -> (
-      let s =
+      let sess =
         match conn.c_session with
-        | Some s -> s
+        | Some sess -> sess
         | None ->
             (* Payload before any hello: implicitly open the default
                events session, so [cat events.log | racedet serve]
                needs no framing at all. *)
             Metrics.on_session_open metrics;
-            let s =
+            let sess =
               Session.create ~pool:conn.c_pool ~id:"default"
                 ~kind:Protocol.Events ~config:conf.sv_config
                 ~eviction:conf.sv_eviction ()
             in
-            conn.c_session <- Some s;
-            s
+            conn.c_session <- Some sess;
+            sess
       in
-      let before = Session.events s in
-      match Session.feed_line s line with
+      let before = Session.events sess in
+      match Session.feed_substring sess s pos len with
       | Ok frames ->
-          Metrics.on_events metrics (Session.events s - before);
+          Metrics.on_events metrics (Session.events sess - before);
           List.iter conn.c_send frames;
           Continue
       | Error m -> fatal metrics conn m)
@@ -173,7 +174,10 @@ let serve_channels conf ic oc =
     match input_line ic with
     | exception End_of_file -> continue := false
     | line ->
-        (match handle_line conf metrics conn ~live (chomp_cr line) with
+        (match
+           handle_line conf metrics conn ~live line 0
+             (chomp_cr line 0 (String.length line))
+         with
         | Continue -> ()
         | Shutdown_req -> continue := false
         | Fatal m ->
@@ -203,9 +207,29 @@ let serve_channels conf ic oc =
 
 (* ---- Unix-socket transport ---- *)
 
+(* Socket framing keeps one growable buffer per connection: bytes
+   [sc_start, sc_fill) are read but not yet consumed, and [sc_start,
+   sc_scan) is known to hold no newline, so each byte is scanned once
+   however many reads a line straddles.  Lines are handed to the decoder
+   where they lie; only a partial line is ever moved (to the front, to
+   make room), and a line longer than [max_line_bytes] ends the
+   connection, so a long line costs time linear in its length and a
+   peer that never sends a newline cannot grow the daemon without
+   bound. *)
+
+let max_line_bytes = 1 lsl 20
+
+let initial_buffer = 65536
+
+(* Room a read should have before the buffer is compacted or grown. *)
+let min_room = 4096
+
 type sconn = {
   sc_fd : Unix.file_descr;
-  sc_buf : Buffer.t;  (** bytes read but not yet split into lines *)
+  mutable sc_buf : Bytes.t;
+  mutable sc_start : int;  (** first byte of the pending line *)
+  mutable sc_scan : int;  (** [sc_start, sc_scan) holds no newline *)
+  mutable sc_fill : int;  (** end of the bytes read *)
   sc_alive : bool ref;  (** cleared when a write hits a gone peer *)
   sc_conn : conn;
 }
@@ -227,10 +251,41 @@ let make_sconn fd =
   in
   {
     sc_fd = fd;
-    sc_buf = Buffer.create 65536;
+    sc_buf = Bytes.create initial_buffer;
+    sc_start = 0;
+    sc_scan = 0;
+    sc_fill = 0;
     sc_alive = alive;
     sc_conn = { c_send = send; c_session = None; c_pool = Session.pool () };
   }
+
+let rec index_newline b i e =
+  if i >= e then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else index_newline b (i + 1) e
+
+(* Make room for the next read: drop the consumed bytes, and grow only
+   when the pending line itself fills the buffer. *)
+let make_room sc =
+  let cap = Bytes.length sc.sc_buf in
+  if sc.sc_start = sc.sc_fill && cap > initial_buffer then begin
+    (* Everything consumed after a long line: give the space back. *)
+    sc.sc_buf <- Bytes.create initial_buffer;
+    sc.sc_start <- 0;
+    sc.sc_scan <- 0;
+    sc.sc_fill <- 0
+  end
+  else if cap - sc.sc_fill < min_room then begin
+    let pending = sc.sc_fill - sc.sc_start in
+    let buf =
+      if cap - pending < min_room then Bytes.create (2 * cap) else sc.sc_buf
+    in
+    Bytes.blit sc.sc_buf sc.sc_start buf 0 pending;
+    sc.sc_buf <- buf;
+    sc.sc_scan <- sc.sc_scan - sc.sc_start;
+    sc.sc_start <- 0;
+    sc.sc_fill <- pending
+  end
 
 let serve_socket conf ~path ?ready () =
   match
@@ -244,6 +299,10 @@ let serve_socket conf ~path ?ready () =
       Error
         (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e))
   | srv ->
+      (* A peer that hangs up must cost its own connection only: writes
+         to it then fail with EPIPE, which [send] absorbs, instead of
+         killing the daemon. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (match ready with Some f -> f () | None -> ());
       let metrics = Metrics.create ~now:(Unix.gettimeofday ()) in
       let conns : (Unix.file_descr, sconn) Hashtbl.t = Hashtbl.create 16 in
@@ -270,42 +329,56 @@ let serve_socket conf ~path ?ready () =
           try Unix.close sc.sc_fd with Unix.Unix_error _ -> ()
         end
       in
-      let process_buffer sc =
-        let s = Buffer.contents sc.sc_buf in
-        let len = String.length s in
-        let pos = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !pos < len do
-          match String.index_from_opt s !pos '\n' with
-          | None -> stop := true
-          | Some nl ->
-              let line = chomp_cr (String.sub s !pos (nl - !pos)) in
-              pos := nl + 1;
-              (match
-                 handle_line conf metrics sc.sc_conn ~live line
-               with
-              | Continue -> ()
-              | Shutdown_req ->
-                  running := false;
-                  stop := true
-              | Fatal _ ->
-                  finish_conn sc ~report:false;
-                  stop := true)
-        done;
-        if Hashtbl.mem conns sc.sc_fd then begin
-          let rest = String.sub s !pos (len - !pos) in
-          Buffer.clear sc.sc_buf;
-          Buffer.add_string sc.sc_buf rest
-        end
+      let too_long sc =
+        ignore
+          (fatal metrics sc.sc_conn
+             (Printf.sprintf "line longer than %d bytes" max_line_bytes)
+            : outcome);
+        finish_conn sc ~report:false
       in
-      let chunk = Bytes.create 65536 in
+      (* Hand every complete line to the protocol, in place. *)
+      let process_buffer sc =
+        let s = Bytes.unsafe_to_string sc.sc_buf in
+        let stop = ref false in
+        while not !stop do
+          let nl = index_newline sc.sc_buf sc.sc_scan sc.sc_fill in
+          let pos = sc.sc_start in
+          if (if nl < 0 then sc.sc_fill else nl) - pos > max_line_bytes then begin
+            too_long sc;
+            stop := true
+          end
+          else if nl < 0 then begin
+            sc.sc_scan <- sc.sc_fill;
+            stop := true
+          end
+          else begin
+            sc.sc_start <- nl + 1;
+            sc.sc_scan <- nl + 1;
+            match
+              handle_line conf metrics sc.sc_conn ~live s pos
+                (chomp_cr s pos (nl - pos))
+            with
+            | Continue -> ()
+            | Shutdown_req ->
+                running := false;
+                stop := true
+            | Fatal _ ->
+                finish_conn sc ~report:false;
+                stop := true
+          end
+        done
+      in
       let read_conn sc =
-        match Unix.read sc.sc_fd chunk 0 (Bytes.length chunk) with
+        make_room sc;
+        match
+          Unix.read sc.sc_fd sc.sc_buf sc.sc_fill
+            (Bytes.length sc.sc_buf - sc.sc_fill)
+        with
         | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
             finish_conn sc ~report:false
         | 0 -> finish_conn sc ~report:true
         | n ->
-            Buffer.add_subbytes sc.sc_buf chunk 0 n;
+            sc.sc_fill <- sc.sc_fill + n;
             process_buffer sc
       in
       let next_stats =

@@ -36,5 +36,9 @@ val serve_socket :
 (** Bind [path] (unlinking any stale socket first), call [ready] once
     listening (test/bench synchronization), and serve until a
     [shutdown] control frame arrives.  Connection-level input errors
-    answer with an [error] frame and drop that connection only.
-    [Error] is reserved for failures to establish the socket. *)
+    answer with an [error] frame and drop that connection only; a line
+    longer than 1 MiB (1,048,576 bytes before its newline), complete or
+    not, is such an error, so a peer cannot grow the daemon without
+    bound.  [SIGPIPE] is ignored, so a peer that hangs up costs only its
+    own connection.  [Error] is reserved for failures to establish the
+    socket. *)

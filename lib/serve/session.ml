@@ -81,24 +81,23 @@ let id t = t.s_id
 let kind t = t.s_kind
 
 (* New races since the last emission: the collector keeps detection
-   order, so they are the suffix after the first [emitted]. *)
-let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
+   order, so they are the suffix after the first [emitted], taken in
+   time proportional to their number. *)
 let fresh_race_frames t st =
   let total = Report.count st.collector in
   if total = st.emitted then []
   else
-    let fresh = drop st.emitted (Report.races st.collector) in
-    List.mapi
-      (fun i race ->
-        Protocol.race_frame ~session:t.s_id ~seq:(st.emitted + i) race)
-      fresh
-    |> fun frames ->
+    let frames =
+      List.mapi
+        (fun i race ->
+          Protocol.race_frame ~session:t.s_id ~seq:(st.emitted + i) race)
+        (Report.races_from st.collector st.emitted)
+    in
     st.emitted <- total;
     frames
 
-let feed_events t st line =
-  match Event_log.entry_of_line line with
+let feed_events t st s pos len =
+  match Event_log.entry_of_substring s pos len with
   | Error _ as e -> e
   | Ok None -> Ok []
   | Ok (Some entry) ->
@@ -133,10 +132,12 @@ let feed_obs st line =
           st.obs_fed <- st.obs_fed + 1;
           Ok [])
 
-let feed_line t line =
+let feed_substring t s pos len =
   match t.state with
-  | E st -> feed_events t st line
-  | O st -> feed_obs st line
+  | E st -> feed_events t st s pos len
+  | O st -> feed_obs st (String.sub s pos len)
+
+let feed_line t line = feed_substring t line 0 (String.length line)
 
 (* The same refusals [racedet merge] gives for a broken shard set:
    duplicate run indices would double-count sightings; gaps under a

@@ -50,6 +50,12 @@ val feed_line : t -> string -> (string list, string) result
     this session's kind — the server answers with an error frame and
     drops the session. *)
 
+val feed_substring : t -> string -> int -> int -> (string list, string) result
+(** [feed_substring t s pos len] is [feed_line t (String.sub s pos
+    len)] without copying an events line: the socket transport feeds
+    lines where they lie in its connection buffer.  [s] is only read
+    during the call. *)
+
 val close : t -> (string, string) result
 (** Final report body (a raw JSON value for {!Protocol.report_frame}).
     [Error] for an obs session whose stream was incomplete (no spec

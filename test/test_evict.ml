@@ -201,6 +201,70 @@ let prop_unhit_watermark_changes_nothing =
              ~races:(Report.races evicting)
              ~stats:(Detector.stats d1) ~evictions:(Detector.evictions d1))
 
+(* The retirement rule itself, as a reference model: sort every tracked
+   location by its last-access stamp (the detector's event count) and
+   retire the oldest [live - low], never the location just accessed.
+   The detector selects instead of sorting; it must retire exactly the
+   same locations at exactly the same events. *)
+let gen_evict_case =
+  let open QCheck.Gen in
+  int_range 2 12 >>= fun high ->
+  int_range 0 (high - 1) >>= fun low ->
+  list_size (int_range 50 500)
+    (map2
+       (fun loc thread -> `Access (loc, thread, Event.Write, []))
+       (frequency [ (3, int_range 0 15); (1, int_range 0 200) ])
+       (int_range 0 2))
+  >|= fun stream -> (high, low, stream)
+
+let prop_evicts_exactly_the_oldest =
+  QCheck.Test.make ~count:300
+    ~name:"eviction retires exactly the oldest stamps"
+    (QCheck.make
+       ~print:(fun (high, low, s) ->
+         Printf.sprintf "high %d low %d, %d accesses" high low (List.length s))
+       gen_evict_case)
+    (fun (high, low, stream) ->
+      let coll = Report.collector () in
+      let d =
+        Detector.create
+          ~eviction:(Detector.eviction ~low ~track:true ~high ())
+          coll
+      in
+      let last = Hashtbl.create 64 and ever = Hashtbl.create 64 in
+      let clock = ref 0 and evicted = ref 0 in
+      List.for_all
+        (function
+          | `Access (loc, thread, kind, _) ->
+              Detector.on_access_interned d ~loc ~thread ~locks:Lockset_id.empty
+                ~kind ~site:0;
+              incr clock;
+              let fresh = not (Hashtbl.mem last loc) in
+              Hashtbl.replace last loc !clock;
+              if fresh && Hashtbl.length last > high then begin
+                let by_age =
+                  List.sort compare
+                    (Hashtbl.fold (fun l st acc -> (st, l) :: acc) last [])
+                in
+                let to_evict = Hashtbl.length last - low in
+                let n = ref 0 in
+                List.iter
+                  (fun (_, l) ->
+                    if !n < to_evict && l <> loc then begin
+                      Hashtbl.remove last l;
+                      Hashtbl.replace ever l ();
+                      incr evicted;
+                      incr n
+                    end)
+                  by_age
+              end;
+              Detector.evictions d = !evicted
+              && Detector.live_locations d = Hashtbl.length last)
+        stream
+      && List.for_all
+           (fun loc -> Detector.was_evicted d loc = Hashtbl.mem ever loc)
+           (List.init 201 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "LRU retires the oldest locations" `Quick (fun () ->
@@ -215,4 +279,5 @@ let suite =
         test_ownership_forget ());
     QCheck_alcotest.to_alcotest prop_eviction_preserves_live_reports;
     QCheck_alcotest.to_alcotest prop_unhit_watermark_changes_nothing;
+    QCheck_alcotest.to_alcotest prop_evicts_exactly_the_oldest;
   ]

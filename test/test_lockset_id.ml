@@ -127,10 +127,41 @@ let test_interning_is_canonical () =
   Alcotest.(check int) "re-interning allocates no new ids" before
     (Lockset_id.interned_count ())
 
+(* The decoder's sequence memo: walking a sequence with [seq_add] finds
+   either nothing or exactly the id [of_list] gives; once
+   [of_seq_list] has interned a sequence whose locks all pack, the walk
+   finds it. *)
+let gen_seq =
+  QCheck.Gen.(
+    list_size (int_bound 5)
+      (frequency
+         [ (6, int_bound 12); (1, oneofl [ -1; -7; 1 lsl 31; (1 lsl 31) - 1; max_int ]) ]))
+
+let walk ls =
+  let memo = Lockset_id.seq_memo () in
+  Lockset_id.seq_id
+    (List.fold_left (Lockset_id.seq_add memo) Lockset_id.seq_empty ls)
+
+let prop_seq_memo =
+  QCheck.Test.make ~count:500 ~name:"sequence memo agrees with of_list"
+    (QCheck.make
+       ~print:(fun ls -> String.concat " " (List.map string_of_int ls))
+       gen_seq)
+    (fun ls ->
+      let expected = Lockset_id.of_list ls in
+      let before = walk ls in
+      (before = -1 || before = expected)
+      && Lockset_id.of_seq_list ls = expected
+      &&
+      let after = walk ls in
+      if List.for_all (fun l -> l >= 0 && l < 1 lsl 31) ls then after = expected
+      else after = -1)
+
 let suite =
   [
     Alcotest.test_case "canonical ids" `Quick test_interning_is_canonical;
     Alcotest.test_case "density boundary (fresh domain)" `Quick
       test_density_boundary;
     QCheck_alcotest.to_alcotest prop_agreement;
+    QCheck_alcotest.to_alcotest prop_seq_memo;
   ]

@@ -158,6 +158,36 @@ let test_malformed_input () =
   | Ok log -> Alcotest.(check int) "blank lines skipped" 2 (Event_log.length log)
   | Error msg -> Alcotest.failf "valid log rejected: %s" msg
 
+(* [event_line_cases.txt] holds edge-case and malformed lines with the
+   decode result the split-based decoder gave them: the entry
+   re-serialized, "blank", or the exact error message.  The decoder must
+   reproduce every row, on the line alone and on the line sliced out of
+   a larger buffer. *)
+let test_decoder_fixture () =
+  let ic = open_in_bin "event_line_cases.txt" in
+  let rows = ref 0 in
+  let result = function
+    | Ok None -> "blank"
+    | Ok (Some e) -> "ok " ^ Event_log.entry_to_line e
+    | Error m -> "error " ^ m
+  in
+  (try
+     while true do
+       let row = input_line ic in
+       if row <> "" && row.[0] <> '#' then begin
+         incr rows;
+         let line, expected = Scanf.sscanf row "%S %S%!" (fun l r -> (l, r)) in
+         Alcotest.(check string) (Printf.sprintf "%S" line) expected
+           (result (Event_log.entry_of_line line));
+         let buf = "X 9\n" ^ line ^ "\nA 1 2 W 3" in
+         Alcotest.(check string) (Printf.sprintf "%S in a buffer" line) expected
+           (result (Event_log.entry_of_substring buf 4 (String.length line)))
+       end
+     done
+   with End_of_file -> ());
+  close_in ic;
+  Alcotest.(check bool) "fixture has rows" true (!rows > 400)
+
 let test_unheld_release_replays () =
   (* A log releasing a lock that was never acquired is malformed but
      must replay without an exception: the cache warns once and clears
@@ -237,6 +267,8 @@ let suite =
     Alcotest.test_case "funnel stats match" `Quick test_stats_equivalence;
     Alcotest.test_case "serialization round-trip" `Quick test_serialization_roundtrip;
     Alcotest.test_case "malformed input errors" `Quick test_malformed_input;
+    Alcotest.test_case "decoder reproduces recorded cases" `Quick
+      test_decoder_fixture;
     Alcotest.test_case "unheld release replays" `Quick test_unheld_release_replays;
     Alcotest.test_case "FullRace = oracle" `Quick test_full_race_counts_match_oracle;
     Alcotest.test_case "FullRace on figure 2" `Quick test_full_race_figure2;

@@ -115,6 +115,30 @@ let test_incremental_race_frames () =
   Alcotest.(check int) "one distinct race" 1 (S.Session.races s);
   Alcotest.(check int) "events counted" 4 (S.Session.events s)
 
+(* Race frames are built from the new races only: a session where every
+   location races must not re-walk the whole race list per line.  At
+   20k racy locations the quadratic version allocated ~10k minor words
+   per line. *)
+let test_race_frames_linear () =
+  let s =
+    S.Session.create ~id:"many" ~kind:S.Protocol.Events ~config:H.Config.full
+      ~eviction:None ()
+  in
+  let n = 20_000 in
+  (* Owned write, sharing write, then a racing write per location. *)
+  let lines =
+    Array.init (3 * n) (fun i ->
+        Printf.sprintf "A %d %d W 0" (i / 3) (if i mod 3 = 1 then 2 else 1))
+  in
+  let frames = ref 0 in
+  let w0 = Gc.minor_words () in
+  Array.iter (fun l -> frames := !frames + List.length (feed_ok s l)) lines;
+  let per_line = (Gc.minor_words () -. w0) /. float_of_int (3 * n) in
+  Alcotest.(check int) "one race frame per location" n !frames;
+  Alcotest.(check int) "every location racy" n (S.Session.races s);
+  if per_line > 1000. then
+    Alcotest.failf "%.0f minor words per line (bound 1000)" per_line
+
 let test_session_feed_errors () =
   let s =
     S.Session.create ~id:"bad" ~kind:S.Protocol.Events ~config:H.Config.full
@@ -282,14 +306,15 @@ let test_serve_channels_errors () =
   | Error m -> Alcotest.(check bool) "double hello refused" true (contains m "already open")
   | Ok () -> Alcotest.fail "double hello accepted"
 
-(* ---- Unix-socket transport smoke ---- *)
+(* ---- Unix-socket transport ---- *)
 
-let test_socket_smoke () =
+(* A daemon on a fresh socket in its own domain; [shutdown] stops it
+   and checks it exited cleanly. *)
+let start_socket_server ?(conf = default_conf) () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "drd-serve-test-%d.sock" (Unix.getpid ()))
   in
-  let conf = { default_conf with S.Server.sv_eviction = None } in
   let ready = Atomic.make false in
   let server =
     Domain.spawn (fun () ->
@@ -303,24 +328,38 @@ let test_socket_smoke () =
   let connect () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX path);
-    (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+    (* A daemon that never answers fails the test instead of hanging it. *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.;
+    (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
   in
-  let session_report id =
-    let ic, oc = connect () in
-    output_string oc
-      (S.Protocol.control_to_line
-         (S.Protocol.Hello
-            { c_session = id; c_kind = S.Protocol.Events; c_config = "" }));
-    output_char oc '\n';
-    output_string oc "A 1 1 W 0\nA 1 2 R 0\nA 1 1 W 0\n";
-    output_string oc (S.Protocol.control_to_line S.Protocol.Close);
+  let shutdown () =
+    let _, _, oc = connect () in
+    output_string oc (S.Protocol.control_to_line S.Protocol.Shutdown);
     output_char oc '\n';
     flush oc;
-    let rec find_report () =
-      let l = input_line ic in
-      if contains l "\"t\":\"report\"" then l else find_report ()
-    in
-    let report = find_report () in
+    (match Domain.join server with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail ("server: " ^ m));
+    Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
+  in
+  (connect, shutdown)
+
+let hello_line id =
+  S.Protocol.control_to_line
+    (S.Protocol.Hello { c_session = id; c_kind = S.Protocol.Events; c_config = "" })
+
+let rec find_frame ic tag =
+  let l = input_line ic in
+  if contains l (Printf.sprintf "\"t\":\"%s\"" tag) then l else find_frame ic tag
+
+let test_socket_smoke () =
+  let connect, shutdown = start_socket_server () in
+  let session_report id =
+    let _, ic, oc = connect () in
+    output_string oc (hello_line id ^ "\nA 1 1 W 0\nA 1 2 R 0\nA 1 1 W 0\n");
+    output_string oc (S.Protocol.control_to_line S.Protocol.Close ^ "\n");
+    flush oc;
+    let report = find_frame ic "report" in
     close_out oc;
     report
   in
@@ -329,15 +368,109 @@ let test_socket_smoke () =
   Alcotest.(check bool) "session a reported" true (contains r1 "\"session\":\"a\"");
   Alcotest.(check bool) "session b reported" true (contains r2 "\"session\":\"b\"");
   Alcotest.(check bool) "a found its race" true (contains r1 "\"races\":[{");
-  (* Shut the daemon down. *)
-  let _, oc = connect () in
-  output_string oc (S.Protocol.control_to_line S.Protocol.Shutdown);
-  output_char oc '\n';
-  flush oc;
-  (match Domain.join server with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("server: " ^ m));
-  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
+  shutdown ()
+
+let racedet =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "bin/racedet.exe"
+
+(* [racedet detect FILE --json] as a separate process: its stdout line. *)
+let detect_json text =
+  let file = Filename.temp_file "drd_serve_log" ".log" in
+  let oc = open_out_bin file in
+  output_string oc text;
+  close_out oc;
+  let ic = Unix.open_process_args_in racedet [| racedet; "detect"; file; "--json" |] in
+  let out = input_line ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "racedet detect failed");
+  Sys.remove file;
+  out
+
+(* The recorded tsp log is larger than one 64 KiB read, so sent in
+   odd-sized writes its lines straddle reads at every offset; some lines
+   end in CRLF.  The report must still be byte-identical to one-shot
+   detection of the clean log. *)
+let test_socket_framing () =
+  let b = Option.get (H.Programs.find "tsp") in
+  let compiled = H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_source in
+  let log, _ = H.Pipeline.record_log compiled in
+  let lines = log_lines log in
+  let clean = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  Alcotest.(check bool) "log exceeds one read" true (String.length clean > 65536);
+  let expected = detect_json clean in
+  let payload =
+    String.concat ""
+      (List.mapi (fun i l -> l ^ if i mod 3 = 0 then "\r\n" else "\n") lines)
+  in
+  let connect, shutdown = start_socket_server () in
+  let fd, ic, _ = connect () in
+  let send s =
+    let rec go pos =
+      if pos < String.length s then
+        go (pos + Unix.write_substring fd s pos (String.length s - pos))
+    in
+    go 0
+  in
+  send (hello_line "framed" ^ "\n");
+  let sizes = [| 1; 7; 4093; 13; 65537; 2; 999; 70001 |] in
+  let rec write_odd pos k =
+    if pos < String.length payload then begin
+      let n = min sizes.(k mod Array.length sizes) (String.length payload - pos) in
+      send (String.sub payload pos n);
+      write_odd (pos + n) (k + 1)
+    end
+  in
+  write_odd 0 0;
+  send (S.Protocol.control_to_line S.Protocol.Close ^ "\n");
+  let report = find_frame ic "report" in
+  Unix.close fd;
+  let prefix = "{\"v\":1,\"t\":\"report\",\"session\":\"framed\",\"report\":" in
+  let pl = String.length prefix in
+  Alcotest.(check string) "report prefix" prefix (String.sub report 0 pl);
+  Alcotest.(check string) "body equals detect --json" expected
+    (String.sub report pl (String.length report - pl - 1));
+  shutdown ()
+
+(* A peer that sends a line longer than the 1 MiB cap without a newline
+   gets an error frame and is dropped; other clients are unaffected. *)
+let test_socket_line_cap () =
+  let connect, shutdown = start_socket_server () in
+  let fd, ic, _ = connect () in
+  let chunk = Bytes.make 65536 'A' in
+  let hung_up = function
+    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> true
+    | _ -> false
+  in
+  let rec flood sent =
+    if sent < 2 lsl 20 then
+      match Unix.write fd chunk 0 (Bytes.length chunk) with
+      | n -> flood (sent + n)
+      | exception e when hung_up e -> ()
+    else
+      (* The daemon did not hang up mid-flood: a newline makes it
+         answer, so the test fails instead of hanging. *)
+      try ignore (Unix.write_substring fd "\n" 0 1) with e when hung_up e -> ()
+  in
+  flood 0;
+  let err = find_frame ic "error" in
+  Alcotest.(check bool) "error names the cap" true (contains err "1048576 bytes");
+  Unix.close fd;
+  let _, ic2, oc2 = connect () in
+  output_string oc2 (hello_line "after" ^ "\nA 1 1 W 0\nA 1 2 R 0\nA 1 1 W 0\n");
+  output_string oc2 (S.Protocol.control_to_line S.Protocol.Close ^ "\n");
+  flush oc2;
+  let report = find_frame ic2 "report" in
+  Alcotest.(check bool) "second client still reports" true
+    (contains report "\"session\":\"after\"" && contains report "\"races\":[{");
+  output_string oc2 (S.Protocol.control_to_line S.Protocol.Stats_req ^ "\n");
+  flush oc2;
+  Alcotest.(check bool) "the error is counted" true
+    (contains (find_frame ic2 "stats") "\"errors\":1");
+  close_out oc2;
+  shutdown ()
 
 let suite =
   [
@@ -347,6 +480,8 @@ let suite =
       (fun () -> test_session_byte_identity ());
     Alcotest.test_case "incremental race frames" `Quick (fun () ->
         test_incremental_race_frames ());
+    Alcotest.test_case "race frames cost per new race" `Quick (fun () ->
+        test_race_frames_linear ());
     Alcotest.test_case "malformed payload is an error" `Quick (fun () ->
         test_session_feed_errors ());
     Alcotest.test_case "obs session equals racedet merge" `Quick (fun () ->
@@ -361,4 +496,8 @@ let suite =
         test_serve_channels_errors ());
     Alcotest.test_case "unix socket smoke" `Quick (fun () ->
         test_socket_smoke ());
+    Alcotest.test_case "socket framing: odd writes, CRLF, long log" `Quick
+      (fun () -> test_socket_framing ());
+    Alcotest.test_case "socket line cap drops only the offender" `Quick
+      (fun () -> test_socket_line_cap ());
   ]
