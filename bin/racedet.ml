@@ -17,8 +17,11 @@
      list     list built-in benchmarks and configurations.
 
    Exit codes: 0 success; 2 malformed input data (event logs,
-   observation files, protocol streams); 124 command-line misuse;
-   125 internal error. *)
+   observation files, protocol streams); 124 command-line misuse,
+   which includes a program that does not compile and, for run and
+   record, a program that fails at run time (division by zero, null
+   dereference, deadlock, step limit: "racedet: runtime error: ..." on
+   stderr, nothing on stdout); 125 internal error. *)
 
 module H = Drd_harness
 module E = Drd_explore
@@ -49,6 +52,16 @@ let data_error fmt =
    per-run failure row. *)
 let or_compile_error f =
   try f () with H.Pipeline.Compile_error msg -> `Error (false, msg)
+
+(* A program that compiles but fails while running ([Interp.Runtime_error]:
+   division by zero, null dereference, deadlock, step limit) is the
+   user's program at fault too, so [run] and [record] give it the same
+   exit 124 with the VM's diagnostic.  Nothing reaches stdout: both
+   commands print only after the run returns.  Campaigns ([explore],
+   [sweep]) keep reporting such runs as failure rows. *)
+let or_runtime_error f =
+  try f ()
+  with Drd_vm.Interp.Runtime_error msg -> `Error (false, "runtime error: " ^ msg)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -430,6 +443,7 @@ let site_stats_json compiled (r : H.Pipeline.result) =
 let run_cmd_impl file benchmark config_name detector seed quantum pct
     pct_horizon engine no_specialize site_stats verbose json =
   or_compile_error @@ fun () ->
+  or_runtime_error @@ fun () ->
   let engine : H.Pipeline.engine =
     if no_specialize && engine = `Spec then `Linked else engine
   in
@@ -531,11 +545,11 @@ let run_cmd =
 (* ---- analyze ---- *)
 
 let analyze_impl file benchmark =
+  or_compile_error @@ fun () ->
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source ->
-      let ast = Drd_lang.Parser.parse_program source in
-      let tprog = Drd_lang.Typecheck.check ast in
+      let tprog = H.Pipeline.frontend ~source in
       let prog = Drd_ir.Lower.lower_program tprog in
       let rs = Drd_static.Race_set.compute prog in
       Fmt.pr "%a@." Drd_static.Race_set.pp_stats (Drd_static.Race_set.stats rs);
@@ -583,6 +597,7 @@ let ir_cmd =
 
 let record_impl file benchmark out =
   or_compile_error @@ fun () ->
+  or_runtime_error @@ fun () ->
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source ->

@@ -50,8 +50,7 @@ exception Compile_error of string
    and a source that fails to compile fails identically on every
    domain, which is why the runner compiles once up front, fails the
    whole campaign, and never starts the pool. *)
-let compile (config : Config.t) ~source : compiled =
-  let t0 = Unix.gettimeofday () in
+let frontend ~source =
   let frontend_error kind msg (pos : Drd_lang.Ast.pos) =
     raise
       (Compile_error
@@ -63,10 +62,12 @@ let compile (config : Config.t) ~source : compiled =
     | Parser.Error (msg, pos) -> frontend_error "parse" msg pos
     | Drd_lang.Lexer.Error (msg, pos) -> frontend_error "lex" msg pos
   in
-  let tprog =
-    try Typecheck.check ast
-    with Typecheck.Error (msg, pos) -> frontend_error "type" msg pos
-  in
+  try Typecheck.check ast
+  with Typecheck.Error (msg, pos) -> frontend_error "type" msg pos
+
+let compile (config : Config.t) ~source : compiled =
+  let t0 = Unix.gettimeofday () in
+  let tprog = frontend ~source in
   let tprog = if config.Config.loop_peel then Peel.peel_program tprog else tprog in
   let prog = Lower.lower_program tprog in
   let static_stats = ref None in

@@ -42,6 +42,10 @@ exception Compile_error of string
     per-run failure rows, and the CLI maps it to its usage-error exit
     (the input is broken, not the data produced from it). *)
 
+val frontend : source:string -> Drd_lang.Tast.tprogram
+(** Parse and typecheck one program: the first step of {!compile}.
+    Raises {!Compile_error} on invalid source. *)
+
 val compile : Config.t -> source:string -> compiled
 (** Parse, typecheck, (optionally) peel, lower, analyze, instrument and
     link one program.  Raises {!Compile_error} on invalid source and

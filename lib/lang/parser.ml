@@ -16,21 +16,23 @@ let peek3_kind st =
 
 let advance st =
   let t = peek st in
-  if t.kind <> EOF then st.i <- st.i + 1;
+  if t.kind != EOF then st.i <- st.i + 1;
   t
 
 let err st msg = raise (Error (msg, (peek st).pos))
 
+(* [kind] is always a constant constructor here, so physical equality
+   decides it without a call into the polymorphic compare. *)
 let expect st kind =
   let t = peek st in
-  if t.kind = kind then advance st
+  if t.kind == kind then advance st
   else
     err st
       (Printf.sprintf "expected %s but found %s" (describe kind)
          (describe t.kind))
 
 let accept st kind =
-  if peek_kind st = kind then begin
+  if peek_kind st == kind then begin
     ignore (advance st);
     true
   end
@@ -46,7 +48,7 @@ let expect_ident st =
 (* ---- types ---- *)
 
 let rec parse_array_suffix st ty =
-  if peek_kind st = LBRACKET && peek2_kind st = RBRACKET then begin
+  if peek_kind st == LBRACKET && peek2_kind st == RBRACKET then begin
     ignore (advance st);
     ignore (advance st);
     parse_array_suffix st (Tarray ty)
@@ -77,7 +79,7 @@ let starts_decl st =
   | IDENT _ -> (
       match peek2_kind st with
       | IDENT _ -> true
-      | LBRACKET -> peek3_kind st = RBRACKET
+      | LBRACKET -> peek3_kind st == RBRACKET
       | _ -> false)
   | _ -> false
 
@@ -87,7 +89,7 @@ let rec parse_expr st = parse_or st
 
 and parse_or st =
   let lhs = ref (parse_and st) in
-  while peek_kind st = OROR do
+  while peek_kind st == OROR do
     let pos = (advance st).pos in
     let rhs = parse_and st in
     lhs := { e = Binop (Or, !lhs, rhs); epos = pos }
@@ -96,7 +98,7 @@ and parse_or st =
 
 and parse_and st =
   let lhs = ref (parse_eq st) in
-  while peek_kind st = ANDAND do
+  while peek_kind st == ANDAND do
     let pos = (advance st).pos in
     let rhs = parse_eq st in
     lhs := { e = Binop (And, !lhs, rhs); epos = pos }
@@ -109,7 +111,7 @@ and parse_eq st =
     match peek_kind st with
     | EQ | NE ->
         let t = advance st in
-        let op = if t.kind = EQ then Ast.Eq else Ast.Ne in
+        let op = if t.kind == EQ then Ast.Eq else Ast.Ne in
         let rhs = parse_rel st in
         lhs := { e = Binop (op, !lhs, rhs); epos = t.pos };
         go ()
@@ -145,7 +147,7 @@ and parse_add st =
     match peek_kind st with
     | PLUS | MINUS ->
         let t = advance st in
-        let op = if t.kind = PLUS then Ast.Add else Ast.Sub in
+        let op = if t.kind == PLUS then Ast.Add else Ast.Sub in
         let rhs = parse_mul st in
         lhs := { e = Binop (op, !lhs, rhs); epos = t.pos };
         go ()
@@ -256,14 +258,14 @@ and parse_primary st =
 and parse_new st =
   let t = expect st KW_NEW in
   match peek_kind st with
-  | IDENT name when peek2_kind st = LPAREN ->
+  | IDENT name when peek2_kind st == LPAREN ->
       ignore (advance st);
       let args = parse_args st in
       { e = New (name, args); epos = t.pos }
   | _ ->
       let base = parse_base_ty st in
       let rec dims acc =
-        if peek_kind st = LBRACKET then begin
+        if peek_kind st == LBRACKET then begin
           ignore (advance st);
           let d = parse_expr st in
           ignore (expect st RBRACKET);
@@ -302,7 +304,7 @@ and parse_stmt st =
       let thn = parse_block st in
       let els =
         if accept st KW_ELSE then
-          if peek_kind st = KW_IF then [ parse_stmt st ] else parse_block st
+          if peek_kind st == KW_IF then [ parse_stmt st ] else parse_block st
         else []
       in
       { s = If (cond, thn, els); spos = t.pos }
@@ -317,7 +319,7 @@ and parse_stmt st =
       ignore (advance st);
       ignore (expect st LPAREN);
       let init =
-        if peek_kind st = SEMI then begin
+        if peek_kind st == SEMI then begin
           ignore (advance st);
           None
         end
@@ -327,18 +329,18 @@ and parse_stmt st =
           Some s
       in
       let cond =
-        if peek_kind st = SEMI then None else Some (parse_expr st)
+        if peek_kind st == SEMI then None else Some (parse_expr st)
       in
       ignore (expect st SEMI);
       let update =
-        if peek_kind st = RPAREN then None else Some (parse_simple_stmt st)
+        if peek_kind st == RPAREN then None else Some (parse_simple_stmt st)
       in
       ignore (expect st RPAREN);
       let body = parse_block st in
       { s = For (init, cond, update, body); spos = t.pos }
   | KW_RETURN ->
       ignore (advance st);
-      let e = if peek_kind st = SEMI then None else Some (parse_expr st) in
+      let e = if peek_kind st == SEMI then None else Some (parse_expr st) in
       ignore (expect st SEMI);
       { s = Return e; spos = t.pos }
   | KW_BREAK ->
@@ -403,7 +405,7 @@ let rec parse_member st cname =
   let is_static = is_static || accept st KW_STATIC in
   (* Constructor: ClassName ( ... ) *)
   match peek_kind st with
-  | IDENT name when name = cname && peek2_kind st = LPAREN ->
+  | IDENT name when name = cname && peek2_kind st == LPAREN ->
       if is_static then err st "constructors cannot be static";
       ignore (advance st);
       let params = parse_params st in
@@ -436,7 +438,7 @@ let rec parse_member st cname =
   | _ ->
       let ty = parse_ty st in
       let name = expect_ident st in
-      if peek_kind st = LPAREN then
+      if peek_kind st == LPAREN then
         let params = parse_params st in
         let body = parse_block st in
         `Method
@@ -494,7 +496,7 @@ let parse_class st =
 let parse_program source =
   let st = { toks = Array.of_list (Lexer.tokenize source); i = 0 } in
   let rec go acc =
-    if peek_kind st = EOF then List.rev acc else go (parse_class st :: acc)
+    if peek_kind st == EOF then List.rev acc else go (parse_class st :: acc)
   in
   go []
 

@@ -107,6 +107,11 @@ let test_cli_misuse_is_exit_124 () =
   let code, _, _ = run [ "arena"; "-n"; "1"; "--fail-on-miss"; "bogus" ] in
   Alcotest.(check int) "unknown --fail-on-miss detector: exit 124" 124 code
 
+let with_source source f =
+  let path = Filename.temp_file "drd_cli_src" ".java" in
+  write_file path source;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
 let test_compile_error_is_exit_124 () =
   (* A program that fails to compile is command-line misuse — the user
      pointed the tool at bad source — never a data error (2), an
@@ -114,13 +119,7 @@ let test_compile_error_is_exit_124 () =
      campaign compiles up-front, so the multi-domain pool must not
      start at all: the diagnostic appears exactly once, not once per
      worker. *)
-  let bad_source = "class Bad { int x\n" in
-  let with_source f =
-    let path = Filename.temp_file "drd_cli_src" ".java" in
-    write_file path bad_source;
-    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-  in
-  with_source (fun src ->
+  with_source "class Bad { int x\n" (fun src ->
       let code, out, err = run [ "run"; src ] in
       Alcotest.(check int) "run: exit 124" 124 code;
       Alcotest.(check string) "run: stdout clean" "" out;
@@ -143,6 +142,42 @@ let test_compile_error_is_exit_124 () =
       in
       Alcotest.(check int) "explore: diagnostic appears exactly once" 1
         (occurrences "parse error" err))
+
+let test_int_literal_out_of_range () =
+  (* A literal above max_int is a lex error at its position, so every
+     command that compiles the source takes the compile-error exit. *)
+  with_source "class Main { static void main() { int x = 99999999999999999999999; } }\n"
+    (fun src ->
+      List.iter
+        (fun cmd ->
+          let code, out, err = run [ cmd; src ] in
+          Alcotest.(check int) (cmd ^ ": exit 124") 124 code;
+          Alcotest.(check string) (cmd ^ ": stdout clean") "" out;
+          Alcotest.(check bool)
+            (cmd ^ ": racedet: diagnostic names the literal")
+            true
+            (contains err "racedet: lex error at line 1, col 43: integer literal out of range"))
+        [ "run"; "analyze"; "ir" ])
+
+let test_runtime_error_is_exit_124 () =
+  (* A program that compiles but fails while running is the user's
+     program at fault: exit 124 with the VM's diagnostic, never an
+     internal error (125), and nothing on stdout even under --json. *)
+  with_source
+    "class Main { static void main() { int z = 0; int y = 5 / z; print(\"y\", y); } }\n"
+    (fun src ->
+      let expect what (code, out, err) =
+        Alcotest.(check int) (what ^ ": exit 124") 124 code;
+        Alcotest.(check string) (what ^ ": stdout clean") "" out;
+        Alcotest.(check bool) (what ^ ": runtime diagnostic") true
+          (contains err "racedet: runtime error: division by zero at line 1")
+      in
+      expect "run" (run [ "run"; src ]);
+      expect "run --json" (run [ "run"; src; "--json" ]);
+      let log = Filename.temp_file "drd_cli_log" ".log" in
+      Sys.remove log;
+      expect "record" (run [ "record"; src; "-o"; log ]);
+      Alcotest.(check bool) "record: no log written" false (Sys.file_exists log))
 
 let test_explore_batch_flag () =
   (* --batch is a hand-off granularity knob, never an output knob: any
@@ -237,4 +272,8 @@ let suite =
       (fun () -> test_run_detector_flag ());
     Alcotest.test_case "arena --json is byte-deterministic" `Quick (fun () ->
         test_arena_json_deterministic ());
+    Alcotest.test_case "integer literal out of range is exit 124" `Quick
+      (fun () -> test_int_literal_out_of_range ());
+    Alcotest.test_case "runtime error in run/record is exit 124" `Quick
+      (fun () -> test_runtime_error_is_exit_124 ());
   ]

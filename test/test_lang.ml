@@ -24,6 +24,19 @@ let test_lexer_tokens () =
   Alcotest.(check bool) "strings" true
     (kinds {|"hello world"|} = Token.[ STRING "hello world"; EOF ])
 
+(* An integer literal is an OCaml int: the largest one still lexes, one
+   past it is a lexer error at the literal's position (not an escaping
+   [Failure "int_of_string"]). *)
+let test_lexer_int_range () =
+  Alcotest.(check bool) "max_int lexes" true
+    (kinds "4611686018427387903" = Token.[ INT max_int; EOF ]);
+  Alcotest.check_raises "one past max_int"
+    (Lexer.Error ("integer literal out of range", { Ast.line = 2; col = 9 }))
+    (fun () -> ignore (Lexer.tokenize "int x;\nint y = 4611686018427387904;"));
+  Alcotest.check_raises "far past max_int"
+    (Lexer.Error ("integer literal out of range", { Ast.line = 1; col = 9 }))
+    (fun () -> ignore (Lexer.tokenize "int x = 99999999999999999999999;"))
+
 let test_lexer_comments_positions () =
   let toks = Lexer.tokenize "x // line comment\n  /* block\n comment */ y" in
   (match toks with
@@ -280,6 +293,7 @@ let suite =
   [
     Alcotest.test_case "lexer tokens" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer comments/positions" `Quick test_lexer_comments_positions;
+    Alcotest.test_case "lexer integer range" `Quick test_lexer_int_range;
     Alcotest.test_case "parser precedence" `Quick test_parser_precedence;
     Alcotest.test_case "parser postfix" `Quick test_parser_postfix;
     Alcotest.test_case "parser statements" `Quick test_parser_statements;
