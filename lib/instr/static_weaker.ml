@@ -67,27 +67,23 @@ let rec is_prefix prefix l =
   | x :: xs, y :: ys -> x = y && is_prefix xs ys
   | _ :: _, [] -> false
 
-(* m-equality given the value numbers of the object operands. *)
+(* m-equality given the value numbers of the object operands.  [vn] is
+   forced only for a field or array pair: statics need none, and a
+   method with no such pair skips SSA and value numbering entirely. *)
 let same_location vn si sj =
+  let same_value ri rj =
+    let vn = Lazy.force vn in
+    match
+      (Vn.vn_of_use vn si.t_instr.i_id ri, Vn.vn_of_use vn sj.t_instr.i_id rj)
+    with
+    | Some a, Some b -> a = b
+    | _ -> false
+  in
   match (si.t_trace.tr_target, sj.t_trace.tr_target) with
   | Tr_static a, Tr_static b -> a.sm_slot = b.sm_slot
-  | Tr_field (oi, fa), Tr_field (oj, fb) -> (
-      fa.fm_class = fb.fm_class
-      && fa.fm_index = fb.fm_index
-      &&
-      match
-        ( Vn.vn_of_use vn si.t_instr.i_id oi,
-          Vn.vn_of_use vn sj.t_instr.i_id oj )
-      with
-      | Some a, Some b -> a = b
-      | _ -> false)
-  | Tr_array (ai, _), Tr_array (aj, _) -> (
-      match
-        ( Vn.vn_of_use vn si.t_instr.i_id ai,
-          Vn.vn_of_use vn sj.t_instr.i_id aj )
-      with
-      | Some a, Some b -> a = b
-      | _ -> false)
+  | Tr_field (oi, fa), Tr_field (oj, fb) ->
+      fa.fm_class = fb.fm_class && fa.fm_index = fb.fm_index && same_value oi oj
+  | Tr_array (ai, _), Tr_array (aj, _) -> same_value ai aj
   | _ -> false
 
 (* Dataflow states as a bitmask: bit 0 = clean reachable, bit 1 = dirty
@@ -152,8 +148,7 @@ let eliminate_mir (m : mir) : int =
   let traces = collect_traces m in
   if List.length traces < 2 then 0
   else begin
-    let ssa = Ssa.compute m in
-    let vn = Vn.compute m ssa in
+    let vn = lazy (Vn.compute m (Ssa.compute m)) in
     (* Group by location signature. *)
     let groups = Hashtbl.create 16 in
     List.iter
@@ -162,7 +157,8 @@ let eliminate_mir (m : mir) : int =
         Hashtbl.replace groups k
           (t :: Option.value (Hashtbl.find_opt groups k) ~default:[]))
       traces;
-    let eliminated = Hashtbl.create 16 in
+    let eliminated = Array.make m.mir_next_iid false in
+    let n_eliminated = ref 0 in
     Hashtbl.iter
       (fun _ group ->
         let group = List.rev group in
@@ -173,7 +169,7 @@ let eliminate_mir (m : mir) : int =
               List.filter
                 (fun sj ->
                   sj.t_instr.i_id <> si.t_instr.i_id
-                  && (not (Hashtbl.mem eliminated sj.t_instr.i_id))
+                  && (not eliminated.(sj.t_instr.i_id))
                   && kind_leq si.t_trace.tr_kind sj.t_trace.tr_kind
                   && is_prefix si.t_instr.i_sync sj.t_instr.i_sync
                   && same_location vn si sj)
@@ -183,19 +179,21 @@ let eliminate_mir (m : mir) : int =
               let states = exec_states m si in
               List.iter
                 (fun sj ->
-                  if exec_holds m states si sj then
-                    Hashtbl.replace eliminated sj.t_instr.i_id ())
+                  if
+                    exec_holds m states si sj
+                    && not eliminated.(sj.t_instr.i_id)
+                  then begin
+                    eliminated.(sj.t_instr.i_id) <- true;
+                    incr n_eliminated
+                  end)
                 candidates
             end)
           group)
       groups;
-    if Hashtbl.length eliminated > 0 then
+    if !n_eliminated > 0 then
       iter_blocks m (fun b ->
-          b.b_instrs <-
-            List.filter
-              (fun i -> not (Hashtbl.mem eliminated i.i_id))
-              b.b_instrs);
-    Hashtbl.length eliminated
+          b.b_instrs <- List.filter (fun i -> not eliminated.(i.i_id)) b.b_instrs);
+    !n_eliminated
   end
 
 let eliminate (p : program) : int =

@@ -100,9 +100,16 @@ type block = {
   mutable b_term_sync : int list; (* sync path at the terminator *)
 }
 
+(* Dense ids.  A method's key and id are fixed at lowering: [mir_id] is
+   the rank of [mir_key] in sorted key order, the order [iter_mirs]
+   walks and [Link] numbers methods in, so per-method tables in the
+   passes are arrays indexed by [mir_id] and per-statement tables are
+   arrays indexed by [i_id] inside them. *)
 type mir = {
   mir_class : string;
   mir_name : string; (* "<init>" for constructors *)
+  mir_key : string; (* "Class.name" *)
+  mir_id : int; (* index in [p_mirs] *)
   mir_static : bool;
   mir_sync : bool; (* synchronized method (lowered to an explicit region) *)
   mir_nparams : int; (* including this for instance methods *)
@@ -112,7 +119,7 @@ type mir = {
   mutable mir_next_iid : int;
 }
 
-let mir_key m = m.mir_class ^ "." ^ m.mir_name
+let mir_key m = m.mir_key
 
 let fresh_reg m =
   let r = m.mir_nregs in
@@ -220,13 +227,13 @@ let is_barrier = function
 type program = {
   p_tprog : Tast.tprogram;
   p_methods : (string, mir) Hashtbl.t; (* keyed by "Class.name" *)
+  p_mirs : mir array; (* indexed by [mir_id], so in sorted key order *)
   p_main : string; (* key of main *)
   p_sites : Site_table.t;
 }
 
 let find_mir p key = Hashtbl.find_opt p.p_methods key
 
-let iter_mirs p f =
-  Hashtbl.fold (fun k m acc -> (k, m) :: acc) p.p_methods []
-  |> List.sort compare
-  |> List.iter (fun (_, m) -> f m)
+let n_mirs p = Array.length p.p_mirs
+
+let iter_mirs p f = Array.iter f p.p_mirs

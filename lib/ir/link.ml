@@ -164,37 +164,35 @@ let find_method_id im key =
 
 (* ---- numbering ---- *)
 
-let sorted_keys (p : program) =
-  Hashtbl.fold (fun k _ acc -> k :: acc) p.p_methods []
-  |> List.sort compare
-
 let sorted_classes (tprog : Tast.tprogram) =
   Hashtbl.fold (fun k _ acc -> k :: acc) tprog.Tast.classes []
   |> List.sort compare
 
 (* ---- layout checking ---- *)
 
+(* [where ()] names the instruction for diagnostics; it is only called
+   on an error. *)
 let check_field_meta tprog ~where (fm : field_meta) =
   match Tast.find_class tprog fm.fm_class with
-  | None -> link_error "%s: field %s.%s on unknown class" where fm.fm_class fm.fm_name
+  | None -> link_error "%s: field %s.%s on unknown class" (where ()) fm.fm_class fm.fm_name
   | Some ci ->
       let n = Array.length ci.Tast.cls_fields in
       if fm.fm_index < 0 || fm.fm_index >= n then
         link_error "%s: field %s.%s index %d outside layout of %d fields"
-          where fm.fm_class fm.fm_name fm.fm_index n;
+          (where ()) fm.fm_class fm.fm_name fm.fm_index n;
       let f = ci.Tast.cls_fields.(fm.fm_index) in
       if f.Tast.fld_name <> fm.fm_name then
-        link_error "%s: field index %d of %s is %s, not %s" where fm.fm_index
+        link_error "%s: field index %d of %s is %s, not %s" (where ()) fm.fm_index
           fm.fm_class f.Tast.fld_name fm.fm_name
 
 let check_static_meta tprog ~where (sm : static_meta) =
   let n = Array.length tprog.Tast.statics in
   if sm.sm_slot < 0 || sm.sm_slot >= n then
-    link_error "%s: static %s.%s slot %d outside %d static slots" where
+    link_error "%s: static %s.%s slot %d outside %d static slots" (where ())
       sm.sm_class sm.sm_name sm.sm_slot n;
   let sf = tprog.Tast.statics.(sm.sm_slot) in
   if sf.Tast.sf_class <> sm.sm_class || sf.Tast.sf_name <> sm.sm_name then
-    link_error "%s: static slot %d is %s.%s, not %s.%s" where sm.sm_slot
+    link_error "%s: static slot %d is %s.%s, not %s.%s" (where ()) sm.sm_slot
       sf.Tast.sf_class sf.Tast.sf_name sm.sm_class sm.sm_name
 
 (* Link-time validation that discharges the interpreter's bounds checks:
@@ -277,7 +275,7 @@ let validate (m : lmethod) : lmethod =
 
 (* ---- linking one method ---- *)
 
-let link_mir ~tprog ~method_ids ~class_ids ~slot_ids ~cell_of_site ~id (m : mir)
+let link_mir ~tprog ~method_id ~class_ids ~slot_ids ~cell_of_site (m : mir)
     : lmethod =
   let key = mir_key m in
   let nblocks = n_blocks m in
@@ -292,7 +290,7 @@ let link_mir ~tprog ~method_ids ~class_ids ~slot_ids ~cell_of_site ~id (m : mir)
   let code = Array.make (max size 1) (Ltrap "unlinked slot") in
   let lines = Array.make (max size 1) 0 in
   let method_id mkey =
-    match Hashtbl.find_opt method_ids mkey with
+    match method_id mkey with
     | Some id -> id
     | None -> link_error "%s: call to unknown method %s" key mkey
   in
@@ -302,7 +300,7 @@ let link_mir ~tprog ~method_ids ~class_ids ~slot_ids ~cell_of_site ~id (m : mir)
     | None -> link_error "%s: unknown class %s" key cls
   in
   let link_op (i : instr) : lop =
-    let where = Printf.sprintf "%s:%d" key i.i_line in
+    let where () = Printf.sprintf "%s:%d" key i.i_line in
     match i.i_op with
     | Const (d, c) -> Lconst (d, c)
     | Move (d, s) -> Lmove (d, s)
@@ -387,7 +385,7 @@ let link_mir ~tprog ~method_ids ~class_ids ~slot_ids ~cell_of_site ~id (m : mir)
   done;
   validate
     {
-      m_id = id;
+      m_id = m.mir_id;
       m_key = key;
       m_nregs = max m.mir_nregs 1;
       m_nparams = m.mir_nparams;
@@ -420,17 +418,17 @@ let link ?spec (p : program) : image =
         sp.sp_cell_of_site.(site)
     | _ -> -1
   in
-  (* Method numbering over the same sorted order [iter_mirs] walks, so
-     ids are a pure function of the program, never of hashtable
+  (* Method ids are the [mir_id]s lowering assigned over sorted keys,
+     so they are a pure function of the program, never of hashtable
      history. *)
-  let keys = sorted_keys p in
-  let method_ids = Hashtbl.create 64 in
-  List.iteri (fun id k -> Hashtbl.add method_ids k id) keys;
-  (match find_mir p p.p_main with
-  | Some _ -> ()
-  | None ->
-      link_error "program has no main method: %S is not among its %d methods"
-        p.p_main (List.length keys));
+  let method_id key = Option.map (fun m -> m.mir_id) (find_mir p key) in
+  let main =
+    match method_id p.p_main with
+    | Some id -> id
+    | None ->
+        link_error "program has no main method: %S is not among its %d methods"
+          p.p_main (n_mirs p)
+  in
   (* Class numbering, also over sorted names. *)
   let classes = Array.of_list (sorted_classes tprog) in
   let class_ids = Hashtbl.create 16 in
@@ -466,7 +464,7 @@ let link ?spec (p : program) : image =
             List.iter
               (fun (name, impl) ->
                 let mkey = impl ^ "." ^ name in
-                match Hashtbl.find_opt method_ids mkey with
+                match method_id mkey with
                 | Some id -> row.(Hashtbl.find slot_ids name) <- id
                 | None ->
                     link_error "class %s: vtable entry %s has no method body" c
@@ -477,18 +475,14 @@ let link ?spec (p : program) : image =
       classes
   in
   let methods =
-    Array.of_list keys
-    |> Array.mapi (fun id key ->
-           match find_mir p key with
-           | Some m ->
-               link_mir ~tprog ~method_ids ~class_ids ~slot_ids ~cell_of_site
-                 ~id m
-           | None -> assert false)
+    Array.map
+      (link_mir ~tprog ~method_id ~class_ids ~slot_ids ~cell_of_site)
+      p.p_mirs
   in
   {
     i_prog = p;
     i_methods = methods;
-    i_main = Hashtbl.find method_ids p.p_main;
+    i_main = main;
     i_classes = classes;
     i_class_fields = class_fields;
     i_vtables = vtables;

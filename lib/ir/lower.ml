@@ -389,7 +389,7 @@ let rec lower_stmt ctx (s : tstmt) =
       set_term ctx (Goto lc.lc_continue);
       switch_to ctx (new_block ctx)
 
-let lower_method prog sites (m : tmethod) : mir =
+let lower_method prog sites ~id (m : tmethod) : mir =
   let entry =
     {
       bb_label = 0;
@@ -454,6 +454,8 @@ let lower_method prog sites (m : tmethod) : mir =
   {
     mir_class = m.tm_class;
     mir_name = m.tm_name;
+    mir_key = Tast.method_key m.tm_class m.tm_name;
+    mir_id = id;
     mir_static = m.tm_static;
     mir_sync = m.tm_sync;
     mir_nparams = (if m.tm_static then 0 else 1) + List.length m.tm_param_tys;
@@ -463,15 +465,21 @@ let lower_method prog sites (m : tmethod) : mir =
     mir_next_iid = ctx.niids;
   }
 
+(* [Tast.iter_methods] walks methods in sorted key order, so the
+   lowering counter is each method's rank in that order: its id. *)
 let lower_program (prog : tprogram) : Ir.program =
   let sites = Site_table.create () in
   let methods = Hashtbl.create 64 in
+  let mirs = ref [] and n = ref 0 in
   Tast.iter_methods prog (fun m ->
-      let mir = lower_method prog sites m in
-      Hashtbl.replace methods (Ir.mir_key mir) mir);
+      let mir = lower_method prog sites ~id:!n m in
+      incr n;
+      mirs := mir :: !mirs;
+      Hashtbl.replace methods mir.mir_key mir);
   {
     p_tprog = prog;
     p_methods = methods;
+    p_mirs = Array.of_list (List.rev !mirs);
     p_main = Tast.method_key prog.main_class "main";
     p_sites = sites;
   }

@@ -14,6 +14,7 @@ val lower_program : Tast.tprogram -> Ir.program
 (** Lower every method of the program.  No instrumentation is inserted
     here; see [Drd_instr.Insert]. *)
 
-val lower_method : Tast.tprogram -> Site_table.t -> Tast.tmethod -> Ir.mir
-(** Lower a single method (exposed for tests and for re-lowering after
-    AST-level loop peeling). *)
+val lower_method :
+  Tast.tprogram -> Site_table.t -> id:int -> Tast.tmethod -> Ir.mir
+(** Lower a single method as method [id] (its rank in sorted key order;
+    see [Ir.mir]). *)

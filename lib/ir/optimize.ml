@@ -22,8 +22,6 @@ let removable_if_dead op ~const_of =
    any other definition invalidates.  Copies are only propagated to
    USES; definitions keep their registers so liveness stays simple. *)
 
-type lattice = Lconst of const | Lcopy of reg
-
 let fold_binop op a b =
   match (op : Ast.binop) with
   | Ast.Add -> Some (Cint (a + b))
@@ -39,28 +37,75 @@ let fold_binop op a b =
   | Ast.Ne -> Some (Cbool (a <> b))
   | Ast.And | Ast.Or -> None (* expanded at lowering *)
 
-let propagate_block (b : block) =
-  let state : (reg, lattice) Hashtbl.t = Hashtbl.create 16 in
-  let resolve r =
-    match Hashtbl.find_opt state r with Some (Lcopy s) -> s | _ -> r
-  in
+(* The value state of one block, over the method's registers: [kind.(r)]
+   is [unknown], [known_const] (value in [cval.(r)]) or [known_copy]
+   (source in [csrc.(r)]).  [copies.(s)] lists the registers that were
+   made copies of [s], so killing [s] visits only those (an entry whose
+   register has since been redefined is skipped).  [touched] lists every
+   register written, so the next block starts from a clean state
+   without clearing the whole arrays.  One state serves every block of
+   a method. *)
+type state = {
+  kind : int array;
+  cval : const array;
+  csrc : int array;
+  copies : int list array;
+  mutable touched : int list;
+}
+
+let unknown = 0
+
+let known_const = 1
+
+let known_copy = 2
+
+let new_state nregs =
+  {
+    kind = Array.make nregs unknown;
+    cval = Array.make nregs Cnull;
+    csrc = Array.make nregs 0;
+    copies = Array.make nregs [];
+    touched = [];
+  }
+
+let reset st =
+  List.iter
+    (fun r ->
+      st.kind.(r) <- unknown;
+      st.copies.(r) <- [])
+    st.touched;
+  st.touched <- []
+
+let propagate_block st (b : block) =
+  let resolve r = if st.kind.(r) = known_copy then st.csrc.(r) else r in
   let const_of r =
-    match Hashtbl.find_opt state (resolve r) with
-    | Some (Lconst c) -> Some c
-    | _ -> (
-        match Hashtbl.find_opt state r with
-        | Some (Lconst c) -> Some c
-        | _ -> None)
+    let k = st.kind.(r) in
+    if k = known_copy then
+      let s = st.csrc.(r) in
+      if st.kind.(s) = known_const then Some st.cval.(s) else None
+    else if k = known_const then Some st.cval.(r)
+    else None
   in
+  (* [d] is redefined: drop its own binding and every copy of it. *)
   let kill d =
-    Hashtbl.remove state d;
-    (* Any copy of d is now stale. *)
-    let stale =
-      Hashtbl.fold
-        (fun r v acc -> match v with Lcopy s when s = d -> r :: acc | _ -> acc)
-        state []
-    in
-    List.iter (Hashtbl.remove state) stale
+    st.kind.(d) <- unknown;
+    List.iter
+      (fun r ->
+        if st.kind.(r) = known_copy && st.csrc.(r) = d then
+          st.kind.(r) <- unknown)
+      st.copies.(d);
+    st.copies.(d) <- []
+  in
+  let set_const d c =
+    st.kind.(d) <- known_const;
+    st.cval.(d) <- c;
+    st.touched <- d :: st.touched
+  in
+  let set_copy d x =
+    st.kind.(d) <- known_copy;
+    st.csrc.(d) <- x;
+    st.copies.(x) <- d :: st.copies.(x);
+    st.touched <- d :: x :: st.touched
   in
   let subst op =
     let s = resolve in
@@ -131,10 +176,10 @@ let propagate_block (b : block) =
       match op with
       | Const (d, c) ->
           kill d;
-          Hashtbl.replace state d (Lconst c)
+          set_const d c
       | Move (d, x) ->
           kill d;
-          if d <> x then Hashtbl.replace state d (Lcopy x)
+          if d <> x then set_copy d x
       | _ -> ( match def op with Some d -> kill d | None -> ()))
     b.b_instrs;
   (* Branch folding on a known condition. *)
@@ -144,15 +189,38 @@ let propagate_block (b : block) =
       | Some (Cbool v) -> b.b_term <- Goto (if v then t else f)
       | _ -> b.b_term <- If (resolve c, t, f))
   | Ret (Some r) -> b.b_term <- Ret (Some (resolve r))
-  | _ -> ())
+  | _ -> ());
+  reset st
 
 (* ------------------------------------------------------------------ *)
-(* Liveness-based dead-code elimination. *)
+(* Liveness-based dead-code elimination, over register bitsets. *)
 
-module Rset = Set.Make (Int)
+module Bits = struct
+  (* A set of registers [0, n) as 62-bit words. *)
+  let words n = (n + 61) / 62
+
+  let create n = Array.make (words n) 0
+
+  let mem s r = s.(r / 62) land (1 lsl (r mod 62)) <> 0
+
+  let add s r = s.(r / 62) <- s.(r / 62) lor (1 lsl (r mod 62))
+
+  let remove s r = s.(r / 62) <- s.(r / 62) land lnot (1 lsl (r mod 62))
+
+  (* [into] := [into] ∪ [s] *)
+  let union_into into s =
+    for w = 0 to Array.length s - 1 do
+      into.(w) <- into.(w) lor s.(w)
+    done
+
+  let equal a b =
+    let rec go w = w < 0 || (a.(w) = b.(w) && go (w - 1)) in
+    go (Array.length a - 1)
+end
 
 let dce (m : mir) : int =
   let n = n_blocks m in
+  let nregs = m.mir_nregs in
   (* Reachability after branch folding. *)
   let reachable = Array.make n false in
   let rec mark b =
@@ -162,63 +230,48 @@ let dce (m : mir) : int =
     end
   in
   mark m.mir_entry;
-  let live_in = Array.make n Rset.empty in
   (* Registers with exactly one definition, and that definition a
      constant: only those are safely known for the Div/Mod-removal
      check. *)
-  let def_count = Hashtbl.create 32 in
+  let def_count = Array.make nregs 0 in
   iter_instrs m (fun _ i ->
       match def i.i_op with
-      | Some d ->
-          Hashtbl.replace def_count d
-            (1 + Option.value (Hashtbl.find_opt def_count d) ~default:0)
+      | Some d -> def_count.(d) <- def_count.(d) + 1
       | None -> ());
-  let const_env = Hashtbl.create 16 in
+  let const_env = Array.make nregs None in
   iter_instrs m (fun _ i ->
       match i.i_op with
-      | Const (d, c) when Hashtbl.find_opt def_count d = Some 1 ->
-          Hashtbl.replace const_env d c
+      | Const (d, c) when def_count.(d) = 1 -> const_env.(d) <- Some c
       | _ -> ());
-  let const_of r = Hashtbl.find_opt const_env r in
-  let transfer b live_out =
-    let live = ref live_out in
-    List.iter
-      (fun (i : instr) ->
-        let keep =
-          (not (removable_if_dead i.i_op ~const_of))
-          ||
-          match def i.i_op with
-          | Some d -> Rset.mem d !live
-          | None -> true
-        in
-        if keep then begin
-          (match def i.i_op with
-          | Some d -> live := Rset.remove d !live
-          | None -> ());
-          List.iter (fun u -> live := Rset.add u !live) (uses i.i_op)
-        end
-        else
-          match def i.i_op with
-          | Some d -> live := Rset.remove d !live
-          | None -> ())
-      (List.rev b.b_instrs);
-    !live
+  let const_of r = const_env.(r) in
+  let rev_instrs = Array.map (fun b -> List.rev b.b_instrs) m.mir_blocks in
+  let live_in = Array.init n (fun _ -> Bits.create nregs) in
+  let live_out b =
+    let blk = block m b in
+    let s = Bits.create nregs in
+    List.iter (Bits.add s) (term_uses blk.b_term);
+    List.iter (fun succ -> Bits.union_into s live_in.(succ)) (successors m b);
+    s
+  in
+  (* One backward step over [i] in [live]; [false] when [i] is dead. *)
+  let step live (i : instr) =
+    let keep =
+      (not (removable_if_dead i.i_op ~const_of))
+      || match def i.i_op with Some d -> Bits.mem live d | None -> true
+    in
+    (match def i.i_op with Some d -> Bits.remove live d | None -> ());
+    if keep then List.iter (Bits.add live) (uses i.i_op);
+    keep
   in
   let changed = ref true in
   while !changed do
     changed := false;
     for b = n - 1 downto 0 do
       if reachable.(b) then begin
-        let blk = block m b in
-        let live_out =
-          List.fold_left
-            (fun acc s -> Rset.union acc live_in.(s))
-            (Rset.of_list (term_uses blk.b_term))
-            (successors m b)
-        in
-        let li = transfer blk live_out in
-        if not (Rset.equal li live_in.(b)) then begin
-          live_in.(b) <- li;
+        let live = live_out b in
+        List.iter (fun i -> ignore (step live i)) rev_instrs.(b);
+        if not (Bits.equal live live_in.(b)) then begin
+          live_in.(b) <- live;
           changed := true
         end
       end
@@ -233,46 +286,22 @@ let dce (m : mir) : int =
         blk.b_term <- Trap "unreachable"
       end
       else begin
-        let live_out =
+        let live = live_out blk.b_label in
+        blk.b_instrs <-
           List.fold_left
-            (fun acc s -> Rset.union acc live_in.(s))
-            (Rset.of_list (term_uses blk.b_term))
-            (successors m blk.b_label)
-        in
-        let live = ref live_out in
-        let kept =
-          List.rev_map
-            (fun (i : instr) ->
-              let keep =
-                (not (removable_if_dead i.i_op ~const_of))
-                ||
-                match def i.i_op with
-                | Some d -> Rset.mem d !live
-                | None -> true
-              in
-              if keep then begin
-                (match def i.i_op with
-                | Some d -> live := Rset.remove d !live
-                | None -> ());
-                List.iter (fun u -> live := Rset.add u !live) (uses i.i_op);
-                Some i
-              end
+            (fun kept i ->
+              if step live i then i :: kept
               else begin
-                (match def i.i_op with
-                | Some d -> live := Rset.remove d !live
-                | None -> ());
                 incr removed;
-                None
+                kept
               end)
-            (List.rev blk.b_instrs)
-          |> List.filter_map Fun.id
-        in
-        blk.b_instrs <- kept
+            [] rev_instrs.(blk.b_label)
       end);
   !removed
 
 let optimize_mir (m : mir) : int =
-  iter_blocks m (fun b -> propagate_block b);
+  let st = new_state m.mir_nregs in
+  iter_blocks m (propagate_block st);
   dce m
 
 let optimize (p : program) : int =

@@ -13,14 +13,20 @@ type def_site =
   | Dinstr of int (* instruction id *)
   | Dphi of int * int (* block, register *)
 
+module Int_tbl = Drd_core.Int_tbl
+
+(* Per-(instruction, register) and per-(block, register) facts live in
+   int-keyed tables under the dense keys [iid * nregs + reg] and
+   [block * nregs + reg]. *)
 type t = {
   dom : Dominance.t;
+  nregs : int;
   nvalues : int;
   def_site : def_site array; (* SSA value -> its definition site *)
-  use_val : (int * int, value) Hashtbl.t; (* (instr id, reg) -> value *)
-  phi_args : (int * int, (int * value) list) Hashtbl.t;
+  use_val : value Int_tbl.t; (* (instr id, reg) -> value *)
+  phi_args : (int * value) list Int_tbl.t;
       (* (block, reg) -> (pred block, incoming value) list *)
-  phis_of_block : (int, int list) Hashtbl.t; (* block -> regs with phis *)
+  phis_of_block : int list array; (* block -> regs with phis *)
 }
 
 let compute (m : Ir.mir) : t =
@@ -40,13 +46,16 @@ let compute (m : Ir.mir) : t =
             | Some d -> def_blocks.(d) <- b.Ir.b_label :: def_blocks.(d)
             | None -> ())
           b.Ir.b_instrs);
-  (* Phi placement via iterated dominance frontiers. *)
+  (* Phi placement via iterated dominance frontiers, one register at a
+     time.  [placed.(b) = r] and [queued.(b) = r] mark block [b] for the
+     register being placed, so two arrays serve every register without
+     clearing. *)
   let df = Dominance.frontiers m dom in
-  let has_phi = Hashtbl.create 64 in
+  let phis_of_block = Array.make nblocks [] in
+  let placed = Array.make nblocks (-1) and queued = Array.make nblocks (-1) in
   for r = 0 to nregs - 1 do
     let work = ref def_blocks.(r) in
-    let in_work = Hashtbl.create 8 in
-    List.iter (fun b -> Hashtbl.replace in_work b ()) !work;
+    List.iter (fun b -> queued.(b) <- r) !work;
     while !work <> [] do
       match !work with
       | [] -> ()
@@ -54,22 +63,17 @@ let compute (m : Ir.mir) : t =
           work := rest;
           List.iter
             (fun f ->
-              if not (Hashtbl.mem has_phi (f, r)) then begin
-                Hashtbl.replace has_phi (f, r) ();
-                if not (Hashtbl.mem in_work f) then begin
-                  Hashtbl.replace in_work f ();
+              if placed.(f) <> r then begin
+                placed.(f) <- r;
+                phis_of_block.(f) <- r :: phis_of_block.(f);
+                if queued.(f) <> r then begin
+                  queued.(f) <- r;
                   work := f :: !work
                 end
               end)
             df.(b)
     done
   done;
-  let phis_of_block = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (b, r) () ->
-      let cur = Option.value (Hashtbl.find_opt phis_of_block b) ~default:[] in
-      Hashtbl.replace phis_of_block b (r :: cur))
-    has_phi;
   (* Renaming. *)
   let nvalues = ref 0 in
   let def_sites = ref [] in
@@ -80,19 +84,12 @@ let compute (m : Ir.mir) : t =
     v
   in
   let stacks = Array.make nregs [] in
-  let use_val = Hashtbl.create 256 in
-  let phi_args = Hashtbl.create 32 in
-  let phi_val = Hashtbl.create 32 in
+  let use_val = Int_tbl.create 256 0 in
+  let phi_args = Int_tbl.create 32 [] in
   (* Parameters are defined at entry. *)
   let param_vals =
     List.init m.Ir.mir_nparams (fun r -> (r, fresh_value (Dparam r)))
   in
-  let preds = Array.make nblocks [] in
-  Array.iter
-    (fun b ->
-      List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Ir.successors m b))
-    dom.Dominance.rpo;
-  let top r = match stacks.(r) with v :: _ -> Some v | [] -> None in
   let rec walk b =
     let pushed = ref [] in
     let push r v =
@@ -100,13 +97,7 @@ let compute (m : Ir.mir) : t =
       pushed := r :: !pushed
     in
     (* Phis of this block define first. *)
-    let phis = Option.value (Hashtbl.find_opt phis_of_block b) ~default:[] in
-    List.iter
-      (fun r ->
-        let v = fresh_value (Dphi (b, r)) in
-        Hashtbl.replace phi_val (b, r) v;
-        push r v)
-      phis;
+    List.iter (fun r -> push r (fresh_value (Dphi (b, r)))) phis_of_block.(b);
     if b = m.Ir.mir_entry then
       List.iter (fun (r, v) -> push r v) param_vals;
     let blk = Ir.block m b in
@@ -114,9 +105,9 @@ let compute (m : Ir.mir) : t =
       (fun (i : Ir.instr) ->
         List.iter
           (fun r ->
-            match top r with
-            | Some v -> Hashtbl.replace use_val (i.Ir.i_id, r) v
-            | None -> ())
+            match stacks.(r) with
+            | v :: _ -> Int_tbl.replace use_val ((i.Ir.i_id * nregs) + r) v
+            | [] -> ())
           (Ir.uses i.Ir.i_op);
         match Ir.def i.Ir.i_op with
         | Some d -> push d (fresh_value (Dinstr i.Ir.i_id))
@@ -125,17 +116,15 @@ let compute (m : Ir.mir) : t =
     (* Record phi arguments flowing along the edges to successors. *)
     List.iter
       (fun s ->
-        let sphis = Option.value (Hashtbl.find_opt phis_of_block s) ~default:[] in
         List.iter
           (fun r ->
-            match top r with
-            | Some v ->
-                let cur =
-                  Option.value (Hashtbl.find_opt phi_args (s, r)) ~default:[]
-                in
-                Hashtbl.replace phi_args (s, r) ((b, v) :: cur)
-            | None -> ())
-          sphis)
+            match stacks.(r) with
+            | v :: _ ->
+                let k = (s * nregs) + r in
+                let cur = try Int_tbl.find phi_args k with Not_found -> [] in
+                Int_tbl.replace phi_args k ((b, v) :: cur)
+            | [] -> ())
+          phis_of_block.(s))
       (Ir.successors m b);
     List.iter walk dom.Dominance.children.(b);
     List.iter (fun r -> stacks.(r) <- List.tl stacks.(r)) !pushed
@@ -143,6 +132,7 @@ let compute (m : Ir.mir) : t =
   walk m.Ir.mir_entry;
   {
     dom;
+    nregs;
     nvalues = !nvalues;
     def_site = Array.of_list (List.rev !def_sites);
     use_val;
@@ -152,9 +142,12 @@ let compute (m : Ir.mir) : t =
 
 (* The SSA value reaching the use of register [r] at instruction [iid];
    [None] for uses in unreachable code or of never-defined registers. *)
-let value_of_use t iid r = Hashtbl.find_opt t.use_val (iid, r)
+let value_of_use t iid r =
+  match Int_tbl.find t.use_val ((iid * t.nregs) + r) with
+  | v -> Some v
+  | exception Not_found -> None
 
 let def_site_of t v = t.def_site.(v)
 
 let phi_args_of t block r =
-  Option.value (Hashtbl.find_opt t.phi_args (block, r)) ~default:[]
+  try Int_tbl.find t.phi_args ((block * t.nregs) + r) with Not_found -> []

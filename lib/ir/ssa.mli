@@ -18,11 +18,14 @@ type def_site =
 
 type t = {
   dom : Dominance.t;
+  nregs : int;
   nvalues : int;
   def_site : def_site array;
-  use_val : (int * int, value) Hashtbl.t;
-  phi_args : (int * int, (int * value) list) Hashtbl.t;
-  phis_of_block : (int, int list) Hashtbl.t;
+  use_val : value Drd_core.Int_tbl.t;
+      (** Keyed by [iid * nregs + reg]; see {!value_of_use}. *)
+  phi_args : (int * value) list Drd_core.Int_tbl.t;
+      (** Keyed by [block * nregs + reg]; see {!phi_args_of}. *)
+  phis_of_block : int list array;  (** Registers with a phi, per block. *)
 }
 
 val compute : Ir.mir -> t

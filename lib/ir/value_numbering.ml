@@ -42,8 +42,8 @@ let compute (m : Ir.mir) (ssa : Ssa.t) : t =
         vn
   in
   (* Instruction table by id for def-site lookup. *)
-  let instr_by_id = Hashtbl.create 256 in
-  Ir.iter_instrs m (fun _ i -> Hashtbl.replace instr_by_id i.Ir.i_id i);
+  let instr_by_id = Array.make m.Ir.mir_next_iid None in
+  Ir.iter_instrs m (fun _ i -> instr_by_id.(i.Ir.i_id) <- Some i);
   let vn_use iid r =
     match Ssa.value_of_use ssa iid r with
     | Some v when vn_of_value.(v) >= 0 -> Some vn_of_value.(v)
@@ -71,7 +71,7 @@ let compute (m : Ir.mir) (ssa : Ssa.t) : t =
             vn_of_value.(first)
         | _ -> fresh ())
     | Ssa.Dinstr iid -> (
-        match Hashtbl.find_opt instr_by_id iid with
+        match instr_by_id.(iid) with
         | None -> fresh ()
         | Some i -> (
             match i.Ir.i_op with
