@@ -147,6 +147,23 @@ let iter_instrs m f =
 
 let n_blocks m = Array.length m.mir_blocks
 
+(* Instruction lookup by [i_id] over a program's current IR, built for a
+   method on its first lookup. *)
+let instr_lookup mirs =
+  let index = Array.make (Array.length mirs) None in
+  fun mid iid ->
+    let tbl =
+      match index.(mid) with
+      | Some tbl -> tbl
+      | None ->
+          let m = mirs.(mid) in
+          let tbl = Array.make m.mir_next_iid None in
+          iter_instrs m (fun _ i -> tbl.(i.i_id) <- Some i);
+          index.(mid) <- Some tbl;
+          tbl
+    in
+    if iid >= 0 && iid < Array.length tbl then tbl.(iid) else None
+
 (* Registers used (read) by an operation, in a fixed operand order used
    by SSA/value-numbering to address uses. *)
 let uses = function

@@ -16,8 +16,6 @@ module Iset = Pointsto.Iset
      statement's method along intrathread edges, the must points-to of
      each root's [this]. *)
 
-type node = Nmethod of string | Nsync of string * int
-
 (* [None] plays the role of ⊤ (the unconstrained "all objects" set). *)
 type lat = Iset.t option
 
@@ -26,25 +24,32 @@ let meet (a : lat) (b : lat) : lat =
   | None, x | x, None -> x
   | Some a, Some b -> Some (Iset.inter a b)
 
+let lat_equal (a : lat) (b : lat) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Iset.equal a b
+  | _ -> false
+
+(* ICG nodes are dense ints: method [m]'s node is [m]; its sync region
+   [r] is node [region_base.(m) + r]. *)
 type t = {
   pt : Pointsto.t;
   must : Must.t;
-  so_out : (node, lat) Hashtbl.t;
-  may_out : (node, Iset.t) Hashtbl.t;
+  region_base : int array; (* by method id *)
+  so_out : lat array; (* by node *)
+  may_out : Iset.t array;
       (* MaySync: the union-over-paths dual of MustSync, used by the
          link-time trace specializer — a site whose may-held and
          must-held locksets coincide has a compile-time-pinned lockset *)
-  must_thread : (string, lat) Hashtbl.t; (* per method *)
-  roots : string list; (* thread-root methods: main + started runs *)
+  must_thread : lat array; (* by method id *)
 }
 
-let node_of_instr key (i : Ir.instr) =
-  match List.rev i.Ir.i_sync with
-  | [] -> Nmethod key
-  | r :: _ -> Nsync (key, r)
+let rec last = function [ x ] -> x | _ :: l -> last l | [] -> invalid_arg "last"
 
-(* All ICG nodes of a method, plus the (node, lock reg, enter instr)
-   triples of its regions and the enclosing node of each region. *)
+let node_of_instr region_base mid (i : Ir.instr) =
+  match i.Ir.i_sync with [] -> mid | sync -> region_base.(mid) + last sync
+
+(* The (region, lock reg, enter instr) triples of a method's regions. *)
 let regions_of_mir (m : Ir.mir) =
   let acc = ref [] in
   Ir.iter_instrs m (fun _ i ->
@@ -54,72 +59,71 @@ let regions_of_mir (m : Ir.mir) =
       | _ -> ());
   !acc
 
+(* One past the largest region id a method mentions. *)
+let n_regions (m : Ir.mir) =
+  let n = ref 0 in
+  Ir.iter_instrs m (fun _ i ->
+      List.iter (fun r -> if r >= !n then n := r + 1) i.Ir.i_sync;
+      match i.Ir.i_op with
+      | Ir.MonitorEnter (_, r) | Ir.MonitorExit (_, r) -> if r >= !n then n := r + 1
+      | _ -> ());
+  !n
+
 let compute (pt : Pointsto.t) (must : Must.t) : t =
   let prog = pt.Pointsto.prog in
-  let roots =
-    prog.Ir.p_main
-    :: (Hashtbl.fold (fun k () acc -> k :: acc) pt.Pointsto.reachable []
-       |> List.filter (fun k -> Pointsto.start_sites_of pt k <> [])
-       |> List.sort compare)
-  in
-  (* Instruction lookup for call sites. *)
-  let instr_tbl = Hashtbl.create 1024 in
+  let nmeth = Ir.n_mirs prog in
+  let main = Option.map (fun m -> m.Ir.mir_id) (Ir.find_mir prog prog.Ir.p_main) in
+  let is_root = Array.make nmeth false in
+  Option.iter (fun mid -> is_root.(mid) <- true) main;
+  let roots = ref (Option.to_list main) in
+  Pointsto.iter_reachable pt (fun m ->
+      if Pointsto.start_sites_of pt m.Ir.mir_id <> [] then begin
+        is_root.(m.Ir.mir_id) <- true;
+        roots := m.Ir.mir_id :: !roots
+      end);
+  let roots = List.rev !roots in
+  let region_base = Array.make nmeth 0 in
+  let nnodes = ref nmeth in
   Ir.iter_mirs prog (fun m ->
-      Ir.iter_instrs m (fun _ i ->
-          Hashtbl.replace instr_tbl (Ir.mir_key m, i.Ir.i_id) i));
+      region_base.(m.Ir.mir_id) <- !nnodes;
+      nnodes := !nnodes + n_regions m);
+  let nnodes = !nnodes in
+  let node_of_instr = node_of_instr region_base in
+  (* Instruction lookup for call sites. *)
+  let instr_at = Ir.instr_lookup prog.Ir.p_mirs in
   (* Build node lists, Gen sets and intrathread predecessor edges. *)
-  let gen : (node, Iset.t) Hashtbl.t = Hashtbl.create 64 in
-  let gen_may : (node, Iset.t) Hashtbl.t = Hashtbl.create 64 in
-  let preds : (node, node list ref) Hashtbl.t = Hashtbl.create 64 in
-  let add_pred n p =
-    let r =
-      match Hashtbl.find_opt preds n with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.add preds n r;
-          r
-    in
-    if not (List.mem p !r) then r := p :: !r
-  in
+  let gen = Array.make nnodes Iset.empty in
+  let gen_may = Array.make nnodes Iset.empty in
+  let preds = Array.make nnodes [] in
+  let add_pred n p = if not (List.memq p preds.(n)) then preds.(n) <- p :: preds.(n) in
   let nodes = ref [] in
-  Pointsto.iter_reachable pt (fun key ->
-      match Ir.find_mir prog key with
-      | None -> ()
-      | Some m ->
-          nodes := Nmethod key :: !nodes;
-          (* Region nodes: Gen from the must points-to of the lock at
-             the region's monitorenter; predecessor is the node the
-             enter instruction lives in. *)
-          List.iter
-            (fun (region, lock, (i : Ir.instr)) ->
-              let n = Nsync (key, region) in
-              nodes := n :: !nodes;
-              Hashtbl.replace gen n (Must.must_pt_reg must key lock);
-              Hashtbl.replace gen_may n
-                (Pointsto.pts pt (Pointsto.Vreg (key, lock)));
-              add_pred n (node_of_instr key i))
-            (regions_of_mir m);
-          (* Method node: predecessors are the nodes containing its call
-             sites. *)
-          List.iter
-            (fun (cs : Pointsto.call_site) ->
-              match
-                Hashtbl.find_opt instr_tbl
-                  (cs.Pointsto.cs_method, cs.Pointsto.cs_iid)
-              with
-              | Some i -> add_pred (Nmethod key) (node_of_instr cs.Pointsto.cs_method i)
-              | None -> ())
-            (Pointsto.callers_of pt key));
+  Pointsto.iter_reachable pt (fun m ->
+      let mid = m.Ir.mir_id in
+      nodes := mid :: !nodes;
+      (* Region nodes: Gen from the must points-to of the lock at the
+         region's monitorenter; predecessor is the node the enter
+         instruction lives in. *)
+      List.iter
+        (fun (region, lock, (i : Ir.instr)) ->
+          let n = region_base.(mid) + region in
+          nodes := n :: !nodes;
+          gen.(n) <- Must.must_pt_reg must mid lock;
+          gen_may.(n) <- Pointsto.pts_reg pt mid lock;
+          add_pred n (node_of_instr mid i))
+        (regions_of_mir m);
+      (* Method node: predecessors are the nodes containing its call
+         sites. *)
+      List.iter
+        (fun (cs : Pointsto.call_site) ->
+          match instr_at cs.Pointsto.cs_mid cs.Pointsto.cs_iid with
+          | Some i -> add_pred mid (node_of_instr cs.Pointsto.cs_mid i)
+          | None -> ())
+        (Pointsto.callers_of pt mid));
+  let nodes = !nodes in
+  let is_root_node n = n < nmeth && is_root.(n) in
   (* Decreasing fixpoint: SO_out(n) = SO_in(n) ∪ Gen(n);
      SO_in = ∩ preds SO_out, with thread roots and main pinned to ∅. *)
-  let so_out : (node, lat) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace so_out n None) !nodes;
-  let is_root_node = function
-    | Nmethod k -> List.mem k roots
-    | Nsync _ -> false
-  in
-  let gen_of n = Option.value (Hashtbl.find_opt gen n) ~default:Iset.empty in
+  let so_out : lat array = Array.make nnodes None in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -128,26 +132,23 @@ let compute (pt : Pointsto.t) (must : Must.t) : t =
         let so_in =
           if is_root_node n then Some Iset.empty
           else
-            match Hashtbl.find_opt preds n with
-            | None | Some { contents = [] } ->
+            match preds.(n) with
+            | [] ->
                 (* No known intrathread predecessor: unreachable from an
                    entry; keep ⊤. *)
                 None
-            | Some ps ->
-                List.fold_left
-                  (fun acc p -> meet acc (Hashtbl.find so_out p))
-                  None !ps
+            | ps -> List.fold_left (fun acc p -> meet acc so_out.(p)) None ps
         in
         let out =
           match so_in with
           | None -> None
-          | Some s -> Some (Iset.union s (gen_of n))
+          | Some s -> Some (Iset.union s gen.(n))
         in
-        if out <> Hashtbl.find so_out n then begin
-          Hashtbl.replace so_out n out;
+        if not (lat_equal out so_out.(n)) then begin
+          so_out.(n) <- out;
           changed := true
         end)
-      !nodes
+      nodes
   done;
   (* MaySync — the increasing dual: MAYSO_out(n) = MAYSO_in(n) ∪
      Gen_may(n) with Gen_may from the full may points-to of each
@@ -155,11 +156,7 @@ let compute (pt : Pointsto.t) (must : Must.t) : t =
      Bottom is ∅ (an unreachable node stays empty; its statements never
      execute, and the specializer never consults them — surviving trace
      sites live in reachable methods only). *)
-  let may_out : (node, Iset.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace may_out n Iset.empty) !nodes;
-  let gen_may_of n =
-    Option.value (Hashtbl.find_opt gen_may n) ~default:Iset.empty
-  in
+  let may_out = Array.make nnodes Iset.empty in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -168,34 +165,21 @@ let compute (pt : Pointsto.t) (must : Must.t) : t =
         let may_in =
           if is_root_node n then Iset.empty
           else
-            match Hashtbl.find_opt preds n with
-            | None | Some { contents = [] } -> Iset.empty
-            | Some ps ->
-                List.fold_left
-                  (fun acc p -> Iset.union acc (Hashtbl.find may_out p))
-                  Iset.empty !ps
+            List.fold_left (fun acc p -> Iset.union acc may_out.(p)) Iset.empty preds.(n)
         in
-        let out = Iset.union may_in (gen_may_of n) in
-        if not (Iset.equal out (Hashtbl.find may_out n)) then begin
-          Hashtbl.replace may_out n out;
+        let out = Iset.union may_in gen_may.(n) in
+        if not (Iset.equal out may_out.(n)) then begin
+          may_out.(n) <- out;
           changed := true
         end)
-      !nodes
+      nodes
   done;
   (* MustThread: intrathread (call-edge) reachability from each root. *)
-  let reached_by : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
+  let reached_by = Array.make nmeth [] in
   let note m root =
-    let r =
-      match Hashtbl.find_opt reached_by m with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.add reached_by m r;
-          r
-    in
-    if List.mem root !r then false
+    if List.memq root reached_by.(m) then false
     else begin
-      r := root :: !r;
+      reached_by.(m) <- root :: reached_by.(m);
       true
     end
   in
@@ -203,49 +187,37 @@ let compute (pt : Pointsto.t) (must : Must.t) : t =
     (fun root ->
       let rec bfs m =
         if note m root then
-          match Ir.find_mir prog m with
-          | None -> ()
-          | Some mir ->
-              Ir.iter_instrs mir (fun _ i ->
-                  match i.Ir.i_op with
-                  | Ir.Call _ ->
-                      List.iter bfs (Pointsto.call_targets_of pt m i.Ir.i_id)
-                  | _ -> ())
+          Ir.iter_instrs prog.Ir.p_mirs.(m) (fun _ i ->
+              match i.Ir.i_op with
+              | Ir.Call _ -> List.iter bfs (Pointsto.call_targets_of pt m i.Ir.i_id)
+              | _ -> ())
       in
       bfs root)
     roots;
   let must_pt_this root =
-    if root = prog.Ir.p_main then Iset.singleton pt.Pointsto.main_obj
+    if Some root = main then Iset.singleton pt.Pointsto.main_obj
     else Must.must_pt_reg must root 0
   in
-  let must_thread = Hashtbl.create 64 in
-  Pointsto.iter_reachable pt (fun key ->
-      let lat =
-        match Hashtbl.find_opt reached_by key with
-        | None -> None (* unreachable from any root: ⊤ *)
-        | Some rs ->
+  let must_thread = Array.make nmeth None in
+  Pointsto.iter_reachable pt (fun m ->
+      must_thread.(m.Ir.mir_id) <-
+        (match reached_by.(m.Ir.mir_id) with
+        | [] -> None (* unreachable from any root: ⊤ *)
+        | rs ->
             List.fold_left
               (fun acc root -> meet acc (Some (must_pt_this root)))
-              None !rs
-      in
-      Hashtbl.replace must_thread key lat);
-  { pt; must; so_out; may_out; must_thread; roots }
+              None rs));
+  { pt; must; region_base; so_out; may_out; must_thread }
 
-(* MustSync of a statement: the locks must-held at it. *)
-let must_sync t key (i : Ir.instr) : lat =
-  match Hashtbl.find_opt t.so_out (node_of_instr key i) with
-  | Some l -> l
-  | None -> None
+(* MustSync of a statement of method [mid]: the locks must-held at it. *)
+let must_sync t mid (i : Ir.instr) : lat = t.so_out.(node_of_instr t.region_base mid i)
 
 (* MaySync of a statement: every lock that can be held at it on some
    path.  ∅ for nodes the ICG never saw (unreachable code). *)
-let may_sync t key (i : Ir.instr) : Iset.t =
-  match Hashtbl.find_opt t.may_out (node_of_instr key i) with
-  | Some s -> s
-  | None -> Iset.empty
+let may_sync t mid (i : Ir.instr) : Iset.t =
+  t.may_out.(node_of_instr t.region_base mid i)
 
-let must_thread t key : lat =
-  match Hashtbl.find_opt t.must_thread key with Some l -> l | None -> None
+let must_thread t mid : lat = t.must_thread.(mid)
 
 (* The paper's predicates (Equations 3 and 4).  ⊤ means "no constraint
    known but the code is unreachable"; two unreachable statements
@@ -255,8 +227,8 @@ let lat_inter_nonempty (a : lat) (b : lat) =
   | None, _ | _, None -> true
   | Some a, Some b -> not (Iset.disjoint a b)
 
-let must_same_thread t kx ky =
-  lat_inter_nonempty (must_thread t kx) (must_thread t ky)
+let must_same_thread t mx my =
+  lat_inter_nonempty (must_thread t mx) (must_thread t my)
 
-let must_common_sync t kx ix ky iy =
-  lat_inter_nonempty (must_sync t kx ix) (must_sync t ky iy)
+let must_common_sync t mx ix my iy =
+  lat_inter_nonempty (must_sync t mx ix) (must_sync t my iy)

@@ -17,61 +17,99 @@ module Dominance = Drd_ir.Dominance
 
 type t = {
   pt : Pointsto.t;
-  single_method : (string, bool) Hashtbl.t;
-  in_loop : (string * int, bool) Hashtbl.t; (* (method, iid) -> in a loop *)
+  single_method : int array; (* by method id: -1 unknown, 0 no, 1 yes *)
+  in_loop : bool array array; (* [method id].(iid) -> in a loop *)
 }
 
-let compute_in_loop (prog : Ir.program) tbl =
-  Ir.iter_mirs prog (fun m ->
-      let dom = Dominance.compute m in
-      let loops = Dominance.natural_loops m dom in
-      let loop_blocks = Hashtbl.create 16 in
+(* The blocks of some natural loop: for every back edge [t -> h] ([h]
+   dominates [t]), [h] plus every reachable block that reaches [t]
+   without passing [h].  [mark.(x) = e] records that back edge [e] has
+   visited [x], so one array serves every edge. *)
+let loop_blocks (m : Ir.mir) =
+  let n = Ir.n_blocks m in
+  let dom = Dominance.compute m in
+  let preds = Array.make n [] in
+  Array.iter
+    (fun b -> List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Ir.successors m b))
+    dom.Dominance.rpo;
+  let in_loop = Array.make n false in
+  let mark = Array.make n (-1) in
+  let edge = ref 0 in
+  Array.iter
+    (fun b ->
       List.iter
-        (fun (_, body) ->
-          List.iter (fun b -> Hashtbl.replace loop_blocks b ()) body)
-        loops;
+        (fun h ->
+          if Dominance.dominates dom h b then begin
+            incr edge;
+            let e = !edge in
+            mark.(h) <- e;
+            in_loop.(h) <- true;
+            let rec walk x =
+              if mark.(x) <> e then begin
+                mark.(x) <- e;
+                in_loop.(x) <- true;
+                List.iter walk preds.(x)
+              end
+            in
+            walk b
+          end)
+        (Ir.successors m b))
+    dom.Dominance.rpo;
+  in_loop
+
+let compute_in_loop (prog : Ir.program) =
+  Array.map
+    (fun (m : Ir.mir) ->
+      let blocks = loop_blocks m in
+      (* An id with no instruction reads as "in a loop", the safe side. *)
+      let row = Array.make m.Ir.mir_next_iid true in
       Ir.iter_blocks m (fun b ->
-          let inl = Hashtbl.mem loop_blocks b.Ir.b_label in
-          List.iter
-            (fun (i : Ir.instr) ->
-              Hashtbl.replace tbl (Ir.mir_key m, i.Ir.i_id) inl)
-            b.Ir.b_instrs))
+          let inl = blocks.(b.Ir.b_label) in
+          List.iter (fun (i : Ir.instr) -> row.(i.Ir.i_id) <- inl) b.Ir.b_instrs);
+      row)
+    prog.Ir.p_mirs
 
 let create (pt : Pointsto.t) : t =
-  let t =
-    { pt; single_method = Hashtbl.create 64; in_loop = Hashtbl.create 1024 }
-  in
-  compute_in_loop pt.Pointsto.prog t.in_loop;
-  t
+  let prog = pt.Pointsto.prog in
+  {
+    pt;
+    single_method = Array.make (Ir.n_mirs prog) (-1);
+    in_loop = compute_in_loop prog;
+  }
 
-let stmt_in_loop t key iid =
-  Option.value (Hashtbl.find_opt t.in_loop (key, iid)) ~default:true
+let stmt_in_loop t mid iid =
+  let row = t.in_loop.(mid) in
+  iid < 0 || iid >= Array.length row || row.(iid)
+
+let is_main t mid =
+  t.pt.Pointsto.prog.Ir.p_mirs.(mid).Ir.mir_key = t.pt.Pointsto.prog.Ir.p_main
 
 (* Memoized with cycle detection: a method on the current resolution
    path is recursive, hence not single. *)
-let rec single_method ?(visiting = []) t key =
-  match Hashtbl.find_opt t.single_method key with
-  | Some b -> b
-  | None ->
-      if List.mem key visiting then false
+let rec single_method ?(visiting = []) t mid =
+  match t.single_method.(mid) with
+  | 1 -> true
+  | 0 -> false
+  | _ ->
+      if List.memq mid visiting then false
       else begin
-        let visiting = key :: visiting in
+        let visiting = mid :: visiting in
         let result =
-          if key = t.pt.Pointsto.prog.Ir.p_main then true
+          if is_main t mid then true
           else
-            let callers = Pointsto.callers_of t.pt key in
-            let starters = Pointsto.start_sites_of t.pt key in
+            let callers = Pointsto.callers_of t.pt mid in
+            let starters = Pointsto.start_sites_of t.pt mid in
             match (callers, starters) with
             | [ c ], [] | [], [ c ] ->
-                single_method ~visiting t c.Pointsto.cs_method
-                && not (stmt_in_loop t c.Pointsto.cs_method c.Pointsto.cs_iid)
+                single_method ~visiting t c.Pointsto.cs_mid
+                && not (stmt_in_loop t c.Pointsto.cs_mid c.Pointsto.cs_iid)
             | _ -> false
         in
-        Hashtbl.replace t.single_method key result;
+        t.single_method.(mid) <- (if result then 1 else 0);
         result
       end
 
-let single_stmt t key iid = single_method t key && not (stmt_in_loop t key iid)
+let single_stmt t mid iid = single_method t mid && not (stmt_in_loop t mid iid)
 
 (* Is this abstract object single-instance? *)
 let single_obj t ao =
@@ -80,13 +118,13 @@ let single_obj t ao =
   | Pointsto.Aclassobj _ | Pointsto.Amain -> true
   | Pointsto.Aobj _ | Pointsto.Aarr _ -> (
       match o.Pointsto.ao_site with
-      | Some (key, iid) -> single_stmt t key iid
+      | Some (mid, iid) -> single_stmt t mid iid
       | None -> false)
 
-(* Must points-to of a register in a method: the singleton may set when
-   its object is single-instance, empty otherwise. *)
-let must_pt_reg t key reg =
-  let may = Pointsto.pts t.pt (Pointsto.Vreg (key, reg)) in
-  match Pointsto.Iset.elements may with
-  | [ o ] when single_obj t o -> Pointsto.Iset.singleton o
-  | _ -> Pointsto.Iset.empty
+(* Must points-to of register [reg] of method [mid]: the singleton may
+   set when its object is single-instance, empty otherwise. *)
+let must_pt_reg t mid reg =
+  let may = Pointsto.pts_reg t.pt mid reg in
+  if Pointsto.Iset.cardinal may = 1 && single_obj t (Pointsto.Iset.choose may)
+  then may
+  else Pointsto.Iset.empty

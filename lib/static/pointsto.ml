@@ -22,11 +22,17 @@ type ao_kind =
 type abs_obj = {
   ao_id : int;
   ao_kind : ao_kind;
-  ao_site : (string * int) option; (* (method key, instr id) *)
+  ao_site : (int * int) option; (* (method id, instr id) *)
 }
 
 module Iset = Set.Make (Int)
+module Int_tbl = Drd_core.Int_tbl
 
+(* A variable of the constraint system, as callers name it.  Inside the
+   solver every variable is a dense int: the registers of method [m]
+   are [reg_base.(m) + reg], then one return variable per method and one
+   per static slot, then field and array-element variables numbered as
+   they first appear. *)
 type var =
   | Vreg of string * int (* method key, register *)
   | Vfield of int * int (* abstract object, field index *)
@@ -34,27 +40,90 @@ type var =
   | Vstatic of int (* static slot *)
   | Vret of string (* method key *)
 
-type call_site = { cs_method : string; cs_iid : int }
+(* A variable as [iter_pts] reports it. *)
+type holder =
+  | Hreg of int (* method id *)
+  | Hfield of int * int (* abstract object, field index *)
+  | Helem of int (* abstract object (array) *)
+  | Hother (* a static slot or a return value *)
+
+type call_site = { cs_mid : int; cs_iid : int } (* caller method id, call instr id *)
+
+type layout = {
+  reg_base : int array; (* method id -> var of its register 0 *)
+  ret_base : int;
+  static_base : int;
+  nfixed : int; (* registers, returns and statics *)
+  field_stride : int; (* field-variable key = ao * stride + index; stride - 1 = element *)
+}
 
 type t = {
   prog : Ir.program;
   objs : abs_obj array;
-  pts : (var, Iset.t) Hashtbl.t;
+  lay : layout;
+  pts_of : Iset.t array; (* var -> points-to set *)
+  dyn_vars : int Int_tbl.t; (* field/element key -> var *)
+  dyn_holders : holder array; (* var - nfixed -> what it is *)
   (* call graph: resolved targets per call site, and reverse edges *)
-  call_targets : (string * int, string list ref) Hashtbl.t;
-  callers : (string, call_site list ref) Hashtbl.t;
-  start_edges : (string, string list ref) Hashtbl.t;
+  call_targets : int list array array; (* [method].(iid) -> target methods *)
+  callers : call_site list array; (* by method *)
+  start_edges : int list array;
       (* method containing ThreadStart -> run-method targets *)
-  start_sites : (string, call_site list ref) Hashtbl.t;
+  start_sites : call_site list array;
       (* run method -> ThreadStart sites that can start it *)
-  reachable : (string, unit) Hashtbl.t; (* reachable methods *)
+  reachable : bool array; (* by method *)
+  n_reachable : int;
   main_obj : int;
-  class_objs : (string, int) Hashtbl.t;
 }
 
 let obj r id = r.objs.(id)
 
-let pts r v = Option.value (Hashtbl.find_opt r.pts v) ~default:Iset.empty
+let layout (prog : Ir.program) =
+  let n = Ir.n_mirs prog in
+  let reg_base = Array.make n 0 in
+  let next = ref 0 in
+  Ir.iter_mirs prog (fun m ->
+      reg_base.(m.Ir.mir_id) <- !next;
+      next := !next + m.Ir.mir_nregs);
+  let ret_base = !next in
+  let static_base = ret_base + n in
+  let nfixed = static_base + Array.length prog.Ir.p_tprog.Tast.statics in
+  let max_fields =
+    Hashtbl.fold
+      (fun _ (ci : Tast.class_info) acc -> max acc (Array.length ci.Tast.cls_fields))
+      prog.Ir.p_tprog.Tast.classes 0
+  in
+  { reg_base; ret_base; static_base; nfixed; field_stride = max_fields + 1 }
+
+let mid_of r key = Option.map (fun m -> m.Ir.mir_id) (Ir.find_mir r.prog key)
+
+let var_id r = function
+  | Vreg (key, reg) -> (
+      match Ir.find_mir r.prog key with
+      | Some m when reg >= 0 && reg < m.Ir.mir_nregs ->
+          Some (r.lay.reg_base.(m.Ir.mir_id) + reg)
+      | _ -> None)
+  | Vret key -> Option.map (fun mid -> r.lay.ret_base + mid) (mid_of r key)
+  | Vstatic slot ->
+      if slot >= 0 && r.lay.static_base + slot < r.lay.nfixed then
+        Some (r.lay.static_base + slot)
+      else None
+  | Vfield (ao, idx) -> (
+      if idx < 0 || idx >= r.lay.field_stride - 1 then None
+      else
+        match Int_tbl.find r.dyn_vars ((ao * r.lay.field_stride) + idx) with
+        | v -> Some v
+        | exception Not_found -> None)
+  | Velem ao -> (
+      match Int_tbl.find r.dyn_vars ((ao * r.lay.field_stride) + r.lay.field_stride - 1) with
+      | v -> Some v
+      | exception Not_found -> None)
+
+let pts r v =
+  match var_id r v with Some id -> r.pts_of.(id) | None -> Iset.empty
+
+(* The points-to set of register [reg] of method [mid]. *)
+let pts_reg r mid reg = r.pts_of.(r.lay.reg_base.(mid) + reg)
 
 let class_of_ao r id =
   match (obj r id).ao_kind with
@@ -67,64 +136,82 @@ let class_of_ao r id =
 
 type solver = {
   sprog : Ir.program;
-  mutable sobjs : abs_obj list; (* reverse *)
+  slay : layout;
+  mutable sobjs : abs_obj array; (* first [nobjs] used *)
   mutable nobjs : int;
-  spts : (var, Iset.t) Hashtbl.t;
-  subset : (var, var list ref) Hashtbl.t; (* simple edges src ⊆ dst *)
+  mutable nvars : int;
+  mutable spts : Iset.t array; (* first [nvars] used *)
+  mutable subset : int list array; (* simple edges src ⊆ dst *)
   (* complex constraints attached to a base variable *)
-  complex : (var, (int -> unit) list ref) Hashtbl.t;
-  mutable worklist : (var * Iset.t) list;
-  scall_targets : (string * int, string list ref) Hashtbl.t;
-  scallers : (string, call_site list ref) Hashtbl.t;
-  sstart_edges : (string, string list ref) Hashtbl.t;
-  sstart_sites : (string, call_site list ref) Hashtbl.t;
-  sreachable : (string, unit) Hashtbl.t;
+  mutable complex : (int -> unit) list array;
+  mutable holders : holder list; (* of the dynamic vars, newest first *)
+  vars : int Int_tbl.t;
+  mutable worklist : (int * Iset.t) list;
+  scall_targets : int list array array;
+  scallers : call_site list array;
+  sstart_edges : int list array;
+  sstart_sites : call_site list array;
+  sreachable : bool array; (* also "constraints generated" *)
   sclass_objs : (string, int) Hashtbl.t;
-  processed_methods : (string, unit) Hashtbl.t;
 }
 
 let fresh_obj s kind site =
-  let o = { ao_id = s.nobjs; ao_kind = kind; ao_site = site } in
-  s.sobjs <- o :: s.sobjs;
-  s.nobjs <- s.nobjs + 1;
-  o.ao_id
+  if s.nobjs = Array.length s.sobjs then begin
+    let bigger = Array.make (2 * s.nobjs + 8) { ao_id = -1; ao_kind = Amain; ao_site = None } in
+    Array.blit s.sobjs 0 bigger 0 s.nobjs;
+    s.sobjs <- bigger
+  end;
+  let id = s.nobjs in
+  s.sobjs.(id) <- { ao_id = id; ao_kind = kind; ao_site = site };
+  s.nobjs <- id + 1;
+  id
 
-let spts s v = Option.value (Hashtbl.find_opt s.spts v) ~default:Iset.empty
+let grow a n filler =
+  let b = Array.make n filler in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The var of a field or element key, allocated on first use. *)
+let dyn_var s key holder =
+  match Int_tbl.find s.vars key with
+  | v -> v
+  | exception Not_found ->
+      let v = s.nvars in
+      if v = Array.length s.spts then begin
+        let n = 2 * v in
+        s.spts <- grow s.spts n Iset.empty;
+        s.subset <- grow s.subset n [];
+        s.complex <- grow s.complex n []
+      end;
+      s.nvars <- v + 1;
+      s.holders <- holder :: s.holders;
+      Int_tbl.replace s.vars key v;
+      v
+
+let vfield s ao idx = dyn_var s ((ao * s.slay.field_stride) + idx) (Hfield (ao, idx))
+
+let velem s ao =
+  dyn_var s ((ao * s.slay.field_stride) + s.slay.field_stride - 1) (Helem ao)
 
 let add_pts s v objs =
-  let cur = spts s v in
+  let cur = s.spts.(v) in
   let nw = Iset.union cur objs in
   if not (Iset.equal cur nw) then begin
-    Hashtbl.replace s.spts v nw;
+    s.spts.(v) <- nw;
     s.worklist <- (v, Iset.diff nw cur) :: s.worklist
   end
 
 let add_subset s src dst =
-  let edges =
-    match Hashtbl.find_opt s.subset src with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add s.subset src r;
-        r
-  in
-  if not (List.mem dst !edges) then begin
-    edges := dst :: !edges;
-    let cur = spts s src in
+  let edges = s.subset.(src) in
+  if not (List.memq dst edges) then begin
+    s.subset.(src) <- dst :: edges;
+    let cur = s.spts.(src) in
     if not (Iset.is_empty cur) then add_pts s dst cur
   end
 
 let add_complex s base f =
-  let fs =
-    match Hashtbl.find_opt s.complex base with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add s.complex base r;
-        r
-  in
-  fs := f :: !fs;
-  Iset.iter f (spts s base)
+  s.complex.(base) <- f :: s.complex.(base);
+  Iset.iter f s.spts.(base)
 
 let class_obj s cls =
   match Hashtbl.find_opt s.sclass_objs cls with
@@ -135,233 +222,227 @@ let class_obj s cls =
       id
 
 let record_call s ~site ~target =
-  let key = (site.cs_method, site.cs_iid) in
-  let ts =
-    match Hashtbl.find_opt s.scall_targets key with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add s.scall_targets key r;
-        r
-  in
-  if List.mem target !ts then false
+  let row = s.scall_targets.(site.cs_mid) in
+  let ts = row.(site.cs_iid) in
+  if List.memq target ts then false
   else begin
-    ts := target :: !ts;
-    let cs =
-      match Hashtbl.find_opt s.scallers target with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.add s.scallers target r;
-          r
-    in
-    cs := site :: !cs;
+    row.(site.cs_iid) <- target :: ts;
+    s.scallers.(target) <- site :: s.scallers.(target);
     true
   end
 
+let mid_of_key s key =
+  match Ir.find_mir s.sprog key with
+  | Some m -> m.Ir.mir_id
+  | None -> invalid_arg ("Pointsto: no method " ^ key)
+
+let ao_class s ao =
+  match s.sobjs.(ao).ao_kind with
+  | Aobj c -> Some c
+  | Amain -> Some Drd_lang.Ast.thread_class
+  | _ -> None
+
 (* Bind arguments/return of a call site to a concrete target method. *)
-let rec bind_call s caller_key (i : Ir.instr) target_key args dst =
-  if record_call s ~site:{ cs_method = caller_key; cs_iid = i.Ir.i_id } ~target:target_key
-  then begin
-    process_method s target_key;
+let rec bind_call s caller (i : Ir.instr) target args dst =
+  if record_call s ~site:{ cs_mid = caller; cs_iid = i.Ir.i_id } ~target then begin
+    process_method s target;
+    let caller_base = s.slay.reg_base.(caller)
+    and target_base = s.slay.reg_base.(target) in
     List.iteri
-      (fun idx arg -> add_subset s (Vreg (caller_key, arg)) (Vreg (target_key, idx)))
+      (fun idx arg -> add_subset s (caller_base + arg) (target_base + idx))
       args;
     match dst with
-    | Some d -> add_subset s (Vret target_key) (Vreg (caller_key, d))
+    | Some d -> add_subset s (s.slay.ret_base + target) (caller_base + d)
     | None -> ()
   end
 
 (* Generate constraints for one method (once). *)
-and process_method s key =
-  if not (Hashtbl.mem s.processed_methods key) then begin
-    Hashtbl.replace s.processed_methods key ();
-    Hashtbl.replace s.sreachable key ();
-    match Ir.find_mir s.sprog key with
-    | None -> ()
-    | Some m ->
-        let tprog = s.sprog.Ir.p_tprog in
-        Ir.iter_blocks m (fun b ->
-            (* returns *)
-            (match b.Ir.b_term with
-            | Ir.Ret (Some r) -> add_subset s (Vreg (key, r)) (Vret key)
-            | _ -> ());
-            List.iter
-              (fun (i : Ir.instr) ->
-                let reg r = Vreg (key, r) in
-                match i.Ir.i_op with
-                | Ir.NewObj (d, cls) ->
-                    let o = fresh_obj s (Aobj cls) (Some (key, i.Ir.i_id)) in
-                    add_pts s (reg d) (Iset.singleton o)
-                | Ir.NewArr (d, elem, dims) ->
-                    (* One abstract array per dimension level. *)
-                    let depth = List.length dims in
-                    let rec mk lvl =
-                      let o =
-                        fresh_obj s (Aarr (elem, lvl)) (Some (key, i.Ir.i_id))
-                      in
-                      if lvl > 1 then begin
-                        let inner = mk (lvl - 1) in
-                        add_pts s (Velem o) (Iset.singleton inner)
-                      end;
-                      o
-                    in
-                    let o = mk depth in
-                    add_pts s (reg d) (Iset.singleton o)
-                | Ir.ClassObj (d, cls) ->
-                    add_pts s (reg d) (Iset.singleton (class_obj s cls))
-                | Ir.Move (d, src) -> add_subset s (reg src) (reg d)
-                | Ir.GetField (d, o, fm) ->
-                    add_complex s (reg o) (fun ao ->
-                        add_subset s (Vfield (ao, fm.Ir.fm_index)) (reg d))
-                | Ir.PutField (o, fm, src) ->
-                    add_complex s (reg o) (fun ao ->
-                        add_subset s (reg src) (Vfield (ao, fm.Ir.fm_index)))
-                | Ir.GetStatic (d, sm) ->
-                    add_subset s (Vstatic sm.Ir.sm_slot) (reg d)
-                | Ir.PutStatic (sm, src) ->
-                    add_subset s (reg src) (Vstatic sm.Ir.sm_slot)
-                | Ir.ALoad (d, a, _) ->
-                    add_complex s (reg a) (fun ao -> add_subset s (Velem ao) (reg d))
-                | Ir.AStore (a, _, src) ->
-                    add_complex s (reg a) (fun ao -> add_subset s (reg src) (Velem ao))
-                | Ir.Call (dst, Ir.Static (cls, name), args, _) ->
-                    bind_call s key i (cls ^ "." ^ name) args dst
-                | Ir.Call (dst, Ir.Ctor cls, args, _) ->
-                    bind_call s key i (cls ^ ".<init>") args dst
-                | Ir.Call (dst, Ir.Virtual (_, name), args, _) ->
-                    (* Resolve per receiver abstract object class. *)
-                    add_complex s
-                      (reg (List.hd args))
-                      (fun ao ->
-                        match
-                          match (List.nth s.sobjs (s.nobjs - 1 - ao)).ao_kind with
-                          | Aobj c -> Some c
-                          | Amain -> Some Drd_lang.Ast.thread_class
-                          | _ -> None
-                        with
-                        | None -> ()
-                        | Some cls -> (
-                            match Tast.dispatch tprog cls name with
-                            | Some tm ->
-                                bind_call s key i
-                                  (tm.Tast.tm_class ^ "." ^ name)
-                                  args dst
-                            | None -> ()))
-                | Ir.ThreadStart r ->
-                    add_complex s (reg r) (fun ao ->
-                        match
-                          match (List.nth s.sobjs (s.nobjs - 1 - ao)).ao_kind with
-                          | Aobj c -> Some c
-                          | Amain -> Some Drd_lang.Ast.thread_class
-                          | _ -> None
-                        with
-                        | None -> ()
-                        | Some cls -> (
-                            match Tast.dispatch tprog cls "run" with
-                            | Some tm ->
-                                let rk = tm.Tast.tm_class ^ ".run" in
-                                process_method s rk;
-                                (* The thread object becomes run's this. *)
-                                add_pts s (Vreg (rk, 0)) (Iset.singleton ao);
-                                let es =
-                                  match Hashtbl.find_opt s.sstart_edges key with
-                                  | Some r -> r
-                                  | None ->
-                                      let r = ref [] in
-                                      Hashtbl.add s.sstart_edges key r;
-                                      r
-                                in
-                                if not (List.mem rk !es) then es := rk :: !es;
-                                let ss =
-                                  match Hashtbl.find_opt s.sstart_sites rk with
-                                  | Some r -> r
-                                  | None ->
-                                      let r = ref [] in
-                                      Hashtbl.add s.sstart_sites rk r;
-                                      r
-                                in
-                                if
-                                  not
-                                    (List.exists
-                                       (fun c ->
-                                         c.cs_method = key && c.cs_iid = i.Ir.i_id)
-                                       !ss)
-                                then
-                                  ss :=
-                                    { cs_method = key; cs_iid = i.Ir.i_id } :: !ss
-                            | None -> ()))
-                | _ -> ())
-              b.Ir.b_instrs)
+and process_method s mid =
+  if not s.sreachable.(mid) then begin
+    s.sreachable.(mid) <- true;
+    let m = s.sprog.Ir.p_mirs.(mid) in
+    let tprog = s.sprog.Ir.p_tprog in
+    let base = s.slay.reg_base.(mid) in
+    let reg r = base + r in
+    Ir.iter_blocks m (fun b ->
+        (* returns *)
+        (match b.Ir.b_term with
+        | Ir.Ret (Some r) -> add_subset s (reg r) (s.slay.ret_base + mid)
+        | _ -> ());
+        List.iter
+          (fun (i : Ir.instr) ->
+            match i.Ir.i_op with
+            | Ir.NewObj (d, cls) ->
+                let o = fresh_obj s (Aobj cls) (Some (mid, i.Ir.i_id)) in
+                add_pts s (reg d) (Iset.singleton o)
+            | Ir.NewArr (d, elem, dims) ->
+                (* One abstract array per dimension level. *)
+                let depth = List.length dims in
+                let rec mk lvl =
+                  let o = fresh_obj s (Aarr (elem, lvl)) (Some (mid, i.Ir.i_id)) in
+                  if lvl > 1 then begin
+                    let inner = mk (lvl - 1) in
+                    add_pts s (velem s o) (Iset.singleton inner)
+                  end;
+                  o
+                in
+                let o = mk depth in
+                add_pts s (reg d) (Iset.singleton o)
+            | Ir.ClassObj (d, cls) ->
+                add_pts s (reg d) (Iset.singleton (class_obj s cls))
+            | Ir.Move (d, src) -> add_subset s (reg src) (reg d)
+            | Ir.GetField (d, o, fm) ->
+                add_complex s (reg o) (fun ao ->
+                    add_subset s (vfield s ao fm.Ir.fm_index) (reg d))
+            | Ir.PutField (o, fm, src) ->
+                add_complex s (reg o) (fun ao ->
+                    add_subset s (reg src) (vfield s ao fm.Ir.fm_index))
+            | Ir.GetStatic (d, sm) ->
+                add_subset s (s.slay.static_base + sm.Ir.sm_slot) (reg d)
+            | Ir.PutStatic (sm, src) ->
+                add_subset s (reg src) (s.slay.static_base + sm.Ir.sm_slot)
+            | Ir.ALoad (d, a, _) ->
+                add_complex s (reg a) (fun ao -> add_subset s (velem s ao) (reg d))
+            | Ir.AStore (a, _, src) ->
+                add_complex s (reg a) (fun ao -> add_subset s (reg src) (velem s ao))
+            | Ir.Call (dst, Ir.Static (cls, name), args, _) ->
+                bind_call s mid i (mid_of_key s (cls ^ "." ^ name)) args dst
+            | Ir.Call (dst, Ir.Ctor cls, args, _) ->
+                bind_call s mid i (mid_of_key s (cls ^ ".<init>")) args dst
+            | Ir.Call (dst, Ir.Virtual (_, name), args, _) ->
+                (* Resolve per receiver abstract object class. *)
+                add_complex s
+                  (reg (List.hd args))
+                  (fun ao ->
+                    match ao_class s ao with
+                    | None -> ()
+                    | Some cls -> (
+                        match Tast.dispatch tprog cls name with
+                        | Some tm ->
+                            bind_call s mid i
+                              (mid_of_key s (tm.Tast.tm_class ^ "." ^ name))
+                              args dst
+                        | None -> ()))
+            | Ir.ThreadStart r ->
+                add_complex s (reg r) (fun ao ->
+                    match ao_class s ao with
+                    | None -> ()
+                    | Some cls -> (
+                        match Tast.dispatch tprog cls "run" with
+                        | Some tm ->
+                            let rk = mid_of_key s (tm.Tast.tm_class ^ ".run") in
+                            process_method s rk;
+                            (* The thread object becomes run's this. *)
+                            add_pts s s.slay.reg_base.(rk) (Iset.singleton ao);
+                            if not (List.memq rk s.sstart_edges.(mid)) then
+                              s.sstart_edges.(mid) <- rk :: s.sstart_edges.(mid);
+                            if
+                              not
+                                (List.exists
+                                   (fun c -> c.cs_mid = mid && c.cs_iid = i.Ir.i_id)
+                                   s.sstart_sites.(rk))
+                            then
+                              s.sstart_sites.(rk) <-
+                                { cs_mid = mid; cs_iid = i.Ir.i_id } :: s.sstart_sites.(rk)
+                        | None -> ()))
+            | _ -> ())
+          b.Ir.b_instrs)
   end
 
 let solve (prog : Ir.program) : t =
+  let lay = layout prog in
+  let n = Ir.n_mirs prog in
+  let cap = lay.nfixed + 64 in
   let s =
     {
       sprog = prog;
-      sobjs = [];
+      slay = lay;
+      sobjs = [||];
       nobjs = 0;
-      spts = Hashtbl.create 1024;
-      subset = Hashtbl.create 1024;
-      complex = Hashtbl.create 256;
+      nvars = lay.nfixed;
+      spts = Array.make cap Iset.empty;
+      subset = Array.make cap [];
+      complex = Array.make cap [];
+      holders = [];
+      vars = Int_tbl.create 64 0;
       worklist = [];
-      scall_targets = Hashtbl.create 256;
-      scallers = Hashtbl.create 256;
-      sstart_edges = Hashtbl.create 16;
-      sstart_sites = Hashtbl.create 16;
-      sreachable = Hashtbl.create 64;
+      scall_targets =
+        Array.map (fun m -> Array.make m.Ir.mir_next_iid []) prog.Ir.p_mirs;
+      scallers = Array.make n [];
+      sstart_edges = Array.make n [];
+      sstart_sites = Array.make n [];
+      sreachable = Array.make n false;
       sclass_objs = Hashtbl.create 16;
-      processed_methods = Hashtbl.create 64;
     }
   in
   let main_obj = fresh_obj s Amain None in
-  process_method s prog.Ir.p_main;
+  (match Ir.find_mir prog prog.Ir.p_main with
+  | Some m -> process_method s m.Ir.mir_id
+  | None -> ());
   (* Propagate to fixpoint. *)
   let rec loop () =
     match s.worklist with
     | [] -> ()
     | (v, delta) :: rest ->
         s.worklist <- rest;
-        (match Hashtbl.find_opt s.subset v with
-        | Some dsts -> List.iter (fun d -> add_pts s d delta) !dsts
-        | None -> ());
-        (match Hashtbl.find_opt s.complex v with
-        | Some fs -> Iset.iter (fun o -> List.iter (fun f -> f o) !fs) delta
-        | None -> ());
+        List.iter (fun d -> add_pts s d delta) s.subset.(v);
+        (match s.complex.(v) with
+        | [] -> ()
+        | fs -> Iset.iter (fun o -> List.iter (fun f -> f o) fs) delta);
         loop ()
   in
   loop ();
   {
     prog;
-    objs = Array.of_list (List.rev s.sobjs);
-    pts = s.spts;
+    objs = Array.sub s.sobjs 0 s.nobjs;
+    lay;
+    pts_of = Array.sub s.spts 0 s.nvars;
+    dyn_vars = s.vars;
+    dyn_holders = Array.of_list (List.rev s.holders);
     call_targets = s.scall_targets;
     callers = s.scallers;
     start_edges = s.sstart_edges;
     start_sites = s.sstart_sites;
     reachable = s.sreachable;
+    n_reachable =
+      Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 s.sreachable;
     main_obj;
-    class_objs = s.sclass_objs;
   }
 
-let is_reachable r key = Hashtbl.mem r.reachable key
+let is_reachable r key =
+  match mid_of r key with Some mid -> r.reachable.(mid) | None -> false
 
-let callers_of r key =
-  match Hashtbl.find_opt r.callers key with Some l -> !l | None -> []
+(* Queries by method id. *)
 
-let call_targets_of r key iid =
-  match Hashtbl.find_opt r.call_targets (key, iid) with
-  | Some l -> !l
-  | None -> []
+let callers_of r mid = r.callers.(mid)
 
-let start_targets_of r key =
-  match Hashtbl.find_opt r.start_edges key with Some l -> !l | None -> []
+let call_targets_of r mid iid =
+  let row = r.call_targets.(mid) in
+  if iid < Array.length row then row.(iid) else []
 
-let start_sites_of r run_key =
-  match Hashtbl.find_opt r.start_sites run_key with Some l -> !l | None -> []
+let start_targets_of r mid = r.start_edges.(mid)
+
+let start_sites_of r mid = r.start_sites.(mid)
 
 let n_objs r = Array.length r.objs
 
+let n_reachable r = r.n_reachable
+
+(* Reachable methods in id order, which is sorted key order. *)
 let iter_reachable r f =
-  Hashtbl.fold (fun k () acc -> k :: acc) r.reachable []
-  |> List.sort compare |> List.iter f
+  Array.iteri (fun mid b -> if b then f r.prog.Ir.p_mirs.(mid)) r.reachable
+
+(* Every variable with a non-empty points-to set. *)
+let iter_pts r f =
+  let lay = r.lay in
+  Ir.iter_mirs r.prog (fun m ->
+      let base = lay.reg_base.(m.Ir.mir_id) in
+      for reg = 0 to m.Ir.mir_nregs - 1 do
+        let p = r.pts_of.(base + reg) in
+        if not (Iset.is_empty p) then f (Hreg m.Ir.mir_id) p
+      done);
+  for v = lay.ret_base to Array.length r.pts_of - 1 do
+    let p = r.pts_of.(v) in
+    if not (Iset.is_empty p) then
+      f (if v < lay.nfixed then Hother else r.dyn_holders.(v - lay.nfixed)) p
+  done

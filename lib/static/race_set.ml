@@ -2,14 +2,17 @@ module Ir = Drd_ir.Ir
 module Iset = Pointsto.Iset
 open Drd_core
 
+(* A statement is [(method id, iid)]; per-statement tables are arrays
+   indexed by [iid] inside one array per method. *)
 type t = {
   pt : Pointsto.t;
   must : Must.t;
   icg : Icg.t;
   ts : Thread_spec.t;
-  set : (string * int, unit) Hashtbl.t; (* (method key, iid) in race set *)
-  peers : (string * int, (string * int) list ref) Hashtbl.t;
-      (* statement -> statically possible racing statements (capped) *)
+  set : bool array array; (* [method id].(iid): in the race set *)
+  peers : (int * int) list array array;
+      (* statement -> statically possible racing statements (capped),
+         newest first *)
   mutable st : stats;
 }
 
@@ -22,16 +25,18 @@ and stats = {
 }
 
 type access = {
-  a_key : string; (* method *)
+  a_mid : int; (* method *)
   a_instr : Ir.instr;
   a_kind : Event.kind;
-  a_base : Pointsto.var option; (* None for statics *)
+  a_base : Iset.t option; (* points-to set of the base; None for statics *)
 }
 
 type group = Gfield of string * int | Gstatic of int | Garray
 
+(* Access statements of reachable methods, grouped by the location they
+   touch.  Each group's list is newest first, and group order never
+   matters: a statement's peers all come from its own group. *)
 let accesses_of (pt : Pointsto.t) : (group, access list ref) Hashtbl.t =
-  let prog = pt.Pointsto.prog in
   let groups = Hashtbl.create 64 in
   let add g a =
     let r =
@@ -44,41 +49,23 @@ let accesses_of (pt : Pointsto.t) : (group, access list ref) Hashtbl.t =
     in
     r := a :: !r
   in
-  Pointsto.iter_reachable pt (fun key ->
-      match Ir.find_mir prog key with
-      | None -> ()
-      | Some m ->
-          Ir.iter_instrs m (fun _ i ->
-              let acc g kind base =
-                add g
-                  {
-                    a_key = key;
-                    a_instr = i;
-                    a_kind = kind;
-                    a_base = base;
-                  }
-              in
-              match i.Ir.i_op with
-              | Ir.GetField (_, o, fm) ->
-                  acc
-                    (Gfield (fm.Ir.fm_class, fm.Ir.fm_index))
-                    Event.Read
-                    (Some (Pointsto.Vreg (key, o)))
-              | Ir.PutField (o, fm, _) ->
-                  acc
-                    (Gfield (fm.Ir.fm_class, fm.Ir.fm_index))
-                    Event.Write
-                    (Some (Pointsto.Vreg (key, o)))
-              | Ir.GetStatic (_, sm) ->
-                  acc (Gstatic sm.Ir.sm_slot) Event.Read None
-              | Ir.PutStatic (sm, _) ->
-                  acc (Gstatic sm.Ir.sm_slot) Event.Write None
-              | Ir.ALoad (_, a, _) ->
-                  acc Garray Event.Read (Some (Pointsto.Vreg (key, a)))
-              | Ir.AStore (a, _, _) ->
-                  acc Garray Event.Write (Some (Pointsto.Vreg (key, a)))
-              | _ -> ()))
-  ;
+  Pointsto.iter_reachable pt (fun m ->
+      let mid = m.Ir.mir_id in
+      Ir.iter_instrs m (fun _ i ->
+          let acc g kind base =
+            add g { a_mid = mid; a_instr = i; a_kind = kind; a_base = base }
+          in
+          let base r = Some (Pointsto.pts_reg pt mid r) in
+          match i.Ir.i_op with
+          | Ir.GetField (_, o, fm) ->
+              acc (Gfield (fm.Ir.fm_class, fm.Ir.fm_index)) Event.Read (base o)
+          | Ir.PutField (o, fm, _) ->
+              acc (Gfield (fm.Ir.fm_class, fm.Ir.fm_index)) Event.Write (base o)
+          | Ir.GetStatic (_, sm) -> acc (Gstatic sm.Ir.sm_slot) Event.Read None
+          | Ir.PutStatic (sm, _) -> acc (Gstatic sm.Ir.sm_slot) Event.Write None
+          | Ir.ALoad (_, a, _) -> acc Garray Event.Read (base a)
+          | Ir.AStore (a, _, _) -> acc Garray Event.Write (base a)
+          | _ -> ()));
   groups
 
 let compute (prog : Ir.program) : t =
@@ -87,19 +74,20 @@ let compute (prog : Ir.program) : t =
   let icg = Icg.compute pt must in
   let ts = Thread_spec.compute pt in
   let groups = accesses_of pt in
-  let set = Hashtbl.create 256 in
-  let peers = Hashtbl.create 256 in
+  let set = Array.map (fun m -> Array.make m.Ir.mir_next_iid false) prog.Ir.p_mirs in
+  let peers = Array.map (fun m -> Array.make m.Ir.mir_next_iid []) prog.Ir.p_mirs in
+  let in_set = ref 0 in
   let max_peers = 16 in
-  let add_peer a b =
-    let r =
-      match Hashtbl.find_opt peers a with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.add peers a r;
-          r
-    in
-    if List.length !r < max_peers && not (List.mem b !r) then r := b :: !r
+  let mark (mid, iid) =
+    if not set.(mid).(iid) then begin
+      set.(mid).(iid) <- true;
+      incr in_set
+    end
+  in
+  let add_peer (amid, aiid) b =
+    let r = peers.(amid).(aiid) in
+    if List.length r < max_peers && not (List.mem b r) then
+      peers.(amid).(aiid) <- b :: r
   in
   let n_access = ref 0 in
   let n_ts_excluded = ref 0 in
@@ -111,23 +99,21 @@ let compute (prog : Ir.program) : t =
   let base_thread_specific a =
     match a.a_base with
     | None -> false
-    | Some v ->
-        let objs = Pointsto.pts pt v in
+    | Some objs ->
         (not (Iset.is_empty objs))
         && Iset.for_all (Thread_spec.is_specific_object ts) objs
   in
   let may_conflict x y =
     match (x.a_base, y.a_base) with
     | None, None -> true (* same static slot by grouping *)
-    | Some bx, Some by ->
-        not (Iset.disjoint (Pointsto.pts pt bx) (Pointsto.pts pt by))
+    | Some bx, Some by -> not (Iset.disjoint bx by)
     | _ -> false
   in
   let is_may_race x y =
     (x.a_kind = Event.Write || y.a_kind = Event.Write)
     && may_conflict x y
-    && (not (Icg.must_same_thread icg x.a_key y.a_key))
-    && not (Icg.must_common_sync icg x.a_key x.a_instr y.a_key y.a_instr)
+    && (not (Icg.must_same_thread icg x.a_mid y.a_mid))
+    && not (Icg.must_common_sync icg x.a_mid x.a_instr y.a_mid y.a_instr)
   in
   Hashtbl.iter
     (fun _ r ->
@@ -148,10 +134,10 @@ let compute (prog : Ir.program) : t =
         for j = i to n - 1 do
           let x = accs.(i) and y = accs.(j) in
           if is_may_race x y then begin
-            let kx = (x.a_key, x.a_instr.Ir.i_id)
-            and ky = (y.a_key, y.a_instr.Ir.i_id) in
-            Hashtbl.replace set kx ();
-            Hashtbl.replace set ky ();
+            let kx = (x.a_mid, x.a_instr.Ir.i_id)
+            and ky = (y.a_mid, y.a_instr.Ir.i_id) in
+            mark kx;
+            mark ky;
             add_peer kx ky;
             if kx <> ky then add_peer ky kx
           end
@@ -160,9 +146,9 @@ let compute (prog : Ir.program) : t =
     groups;
   let st =
     {
-      reachable_methods = Hashtbl.length pt.Pointsto.reachable;
+      reachable_methods = Pointsto.n_reachable pt;
       access_statements = !n_access;
-      in_race_set = Hashtbl.length set;
+      in_race_set = !in_set;
       thread_specific_excluded = !n_ts_excluded;
       abstract_objects = Pointsto.n_objs pt;
     }
@@ -170,16 +156,20 @@ let compute (prog : Ir.program) : t =
   { pt; must; icg; ts; set; peers; st }
 
 let may_race t (m : Ir.mir) (i : Ir.instr) =
-  Hashtbl.mem t.set (Ir.mir_key m, i.Ir.i_id)
+  let row = t.set.(m.Ir.mir_id) in
+  i.Ir.i_id < Array.length row && row.(i.Ir.i_id)
 
 (* The statically-possible racing statements of an access statement —
    the debugging aid of Section 2.6 ("our static datarace analyzer can
    provide a (usually small) set of source locations whose execution
    could potentially race with e").  Capped at 16 peers. *)
 let peers_of t ~meth ~iid =
-  match Hashtbl.find_opt t.peers (meth, iid) with
-  | Some r -> List.rev !r
-  | None -> []
+  match Ir.find_mir t.pt.Pointsto.prog meth with
+  | Some m when iid >= 0 && iid < Array.length t.peers.(m.Ir.mir_id) ->
+      List.rev_map
+        (fun (mid, iid) -> (t.pt.Pointsto.prog.Ir.p_mirs.(mid).Ir.mir_key, iid))
+        t.peers.(m.Ir.mir_id).(iid)
+  | _ -> []
 
 let stats t = t.st
 

@@ -63,43 +63,35 @@ module Event = Drd_core.Event
 (* ---- may-start: can executing this method transitively start a
    thread? ---- *)
 
-let compute_may_start (pt : Pointsto.t) : (string, bool) Hashtbl.t =
+let compute_may_start (pt : Pointsto.t) : bool array =
   let prog = pt.Pointsto.prog in
-  let ms = Hashtbl.create 64 in
-  Pointsto.iter_reachable pt (fun key ->
-      match Ir.find_mir prog key with
-      | None -> ()
-      | Some m ->
-          let has = ref false in
-          Ir.iter_instrs m (fun _ i ->
-              match i.Ir.i_op with
-              | Ir.ThreadStart _ -> has := true
-              | _ -> ());
-          Hashtbl.replace ms key !has);
-  let starts key =
-    Option.value (Hashtbl.find_opt ms key) ~default:false
-  in
+  let ms = Array.make (Ir.n_mirs prog) false in
+  Pointsto.iter_reachable pt (fun m ->
+      Ir.iter_instrs m (fun _ i ->
+          match i.Ir.i_op with
+          | Ir.ThreadStart _ -> ms.(m.Ir.mir_id) <- true
+          | _ -> ()));
   let changed = ref true in
   while !changed do
     changed := false;
-    Pointsto.iter_reachable pt (fun key ->
-        if not (starts key) then
-          match Ir.find_mir prog key with
-          | None -> ()
-          | Some m ->
-              let hit = ref false in
-              Ir.iter_instrs m (fun _ i ->
-                  match i.Ir.i_op with
-                  | Ir.Call _ ->
-                      if
-                        List.exists starts
-                          (Pointsto.call_targets_of pt key i.Ir.i_id)
-                      then hit := true
-                  | _ -> ());
-              if !hit then begin
-                Hashtbl.replace ms key true;
-                changed := true
-              end)
+    Pointsto.iter_reachable pt (fun m ->
+        let mid = m.Ir.mir_id in
+        if not ms.(mid) then begin
+          let hit = ref false in
+          Ir.iter_instrs m (fun _ i ->
+              match i.Ir.i_op with
+              | Ir.Call _ ->
+                  if
+                    List.exists
+                      (fun t -> ms.(t))
+                      (Pointsto.call_targets_of pt mid i.Ir.i_id)
+                  then hit := true
+              | _ -> ());
+          if !hit then begin
+            ms.(mid) <- true;
+            changed := true
+          end
+        end)
   done;
   ms
 
@@ -108,116 +100,107 @@ let compute_may_start (pt : Pointsto.t) : (string, bool) Hashtbl.t =
    PS(entry of a started run method) = false, PS(entry of m) = the
    conjunction of start-cleanliness at every call site of m; inside a
    method, cleanliness is a forward all-paths dataflow killed by
-   [ThreadStart] and by calls into may-starting methods. ---- *)
+   [ThreadStart] and by calls into may-starting methods.  The result
+   is [clean_at.(method id).(iid)], the value before the instruction;
+   an id with no instruction reads [false]. ---- *)
 
-let compute_prestart (pt : Pointsto.t) (may_start : (string, bool) Hashtbl.t)
-    : (string * int, bool) Hashtbl.t =
+let compute_prestart (pt : Pointsto.t) (may_start : bool array) :
+    bool array array =
   let prog = pt.Pointsto.prog in
-  let starts key =
-    Option.value (Hashtbl.find_opt may_start key) ~default:false
-  in
   let reachable = ref [] in
-  Pointsto.iter_reachable pt (fun key ->
-      if Ir.find_mir prog key <> None then reachable := key :: !reachable);
-  let reachable = List.sort compare !reachable in
-  let ps_entry = Hashtbl.create 64 in
+  Pointsto.iter_reachable pt (fun m -> reachable := m :: !reachable);
+  let reachable = List.rev !reachable in
+  let is_main (m : Ir.mir) = m.Ir.mir_key = prog.Ir.p_main in
+  let pinned (m : Ir.mir) =
+    is_main m || Pointsto.start_sites_of pt m.Ir.mir_id <> []
+  in
+  let ps_entry = Array.make (Ir.n_mirs prog) false in
   List.iter
-    (fun key ->
-      let pinned_false =
-        key <> prog.Ir.p_main && Pointsto.start_sites_of pt key <> []
-      in
-      Hashtbl.replace ps_entry key (not pinned_false))
+    (fun (m : Ir.mir) ->
+      ps_entry.(m.Ir.mir_id) <-
+        is_main m || Pointsto.start_sites_of pt m.Ir.mir_id = [])
     reachable;
+  let clean_at =
+    Array.map (fun (m : Ir.mir) -> Array.make m.Ir.mir_next_iid false) prog.Ir.p_mirs
+  in
   (* Forward all-paths cleanliness inside one method, given the entry
      value; records the pre-instruction value of every instruction. *)
-  let clean_at = Hashtbl.create 256 in
-  let flow key =
-    match Ir.find_mir prog key with
-    | None -> ()
-    | Some m ->
-        let entry_val = Hashtbl.find ps_entry key in
-        let n = Ir.n_blocks m in
-        let block_in = Array.make n true in
-        let block_out = Array.make n true in
-        let kill (i : Ir.instr) =
-          match i.Ir.i_op with
-          | Ir.ThreadStart _ -> true
-          | Ir.Call _ ->
-              List.exists starts (Pointsto.call_targets_of pt key i.Ir.i_id)
-          | _ -> false
-        in
-        let transfer l record =
-          let v = ref block_in.(l) in
-          List.iter
-            (fun (i : Ir.instr) ->
-              if record then Hashtbl.replace clean_at (key, i.Ir.i_id) !v;
-              if kill i then v := false)
-            (Ir.block m l).Ir.b_instrs;
-          !v
-        in
-        block_in.(m.Ir.mir_entry) <- entry_val;
-        let changed = ref true in
-        while !changed do
-          changed := false;
-          for l = 0 to n - 1 do
-            let out = transfer l false in
-            if out <> block_out.(l) then begin
-              block_out.(l) <- out;
+  let flow (m : Ir.mir) =
+    let mid = m.Ir.mir_id in
+    let row = clean_at.(mid) in
+    let n = Ir.n_blocks m in
+    let block_in = Array.make n true in
+    let block_out = Array.make n true in
+    let kill (i : Ir.instr) =
+      match i.Ir.i_op with
+      | Ir.ThreadStart _ -> true
+      | Ir.Call _ ->
+          List.exists (fun t -> may_start.(t)) (Pointsto.call_targets_of pt mid i.Ir.i_id)
+      | _ -> false
+    in
+    let transfer l record =
+      let v = ref block_in.(l) in
+      List.iter
+        (fun (i : Ir.instr) ->
+          if record then row.(i.Ir.i_id) <- !v;
+          if kill i then v := false)
+        (Ir.block m l).Ir.b_instrs;
+      !v
+    in
+    block_in.(m.Ir.mir_entry) <- ps_entry.(mid);
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for l = 0 to n - 1 do
+        let out = transfer l false in
+        if out <> block_out.(l) then begin
+          block_out.(l) <- out;
+          changed := true
+        end;
+        (match (Ir.block m l).Ir.b_term with
+        | Ir.Goto t ->
+            if out < block_in.(t) then begin
+              block_in.(t) <- out;
+              changed := true
+            end
+        | Ir.If (_, t, f) ->
+            if out < block_in.(t) then begin
+              block_in.(t) <- out;
               changed := true
             end;
-            (match (Ir.block m l).Ir.b_term with
-            | Ir.Goto t ->
-                if out < block_in.(t) then begin
-                  block_in.(t) <- out;
-                  changed := true
-                end
-            | Ir.If (_, t, f) ->
-                if out < block_in.(t) then begin
-                  block_in.(t) <- out;
-                  changed := true
-                end;
-                if out < block_in.(f) then begin
-                  block_in.(f) <- out;
-                  changed := true
-                end
-            | Ir.Ret _ | Ir.Trap _ -> ())
-          done
-        done;
-        for l = 0 to n - 1 do
-          ignore (transfer l true)
-        done
+            if out < block_in.(f) then begin
+              block_in.(f) <- out;
+              changed := true
+            end
+        | Ir.Ret _ | Ir.Trap _ -> ())
+      done
+    done;
+    for l = 0 to n - 1 do
+      ignore (transfer l true)
+    done
   in
   (* Outer fixpoint over method entries, decreasing from true. *)
   let stable = ref false in
   while not !stable do
     stable := true;
-    (* [clear], not [reset]: keep the grown bucket array across fixpoint
-       rounds instead of shrinking it back to its initial size. *)
-    Hashtbl.clear clean_at;
+    Array.iter (fun row -> Array.fill row 0 (Array.length row) false) clean_at;
     List.iter flow reachable;
     List.iter
-      (fun key ->
-        if Hashtbl.find ps_entry key then begin
-          let pinned =
-            key = prog.Ir.p_main
-            || (key <> prog.Ir.p_main && Pointsto.start_sites_of pt key <> [])
+      (fun (m : Ir.mir) ->
+        let mid = m.Ir.mir_id in
+        if ps_entry.(mid) && not (pinned m) then begin
+          let callers = Pointsto.callers_of pt mid in
+          let ok =
+            callers <> []
+            && List.for_all
+                 (fun (cs : Pointsto.call_site) ->
+                   let row = clean_at.(cs.Pointsto.cs_mid) in
+                   cs.Pointsto.cs_iid < Array.length row && row.(cs.Pointsto.cs_iid))
+                 callers
           in
-          if not pinned then begin
-            let callers = Pointsto.callers_of pt key in
-            let ok =
-              callers <> []
-              && List.for_all
-                   (fun (cs : Pointsto.call_site) ->
-                     Option.value
-                       (Hashtbl.find_opt clean_at
-                          (cs.Pointsto.cs_method, cs.Pointsto.cs_iid))
-                       ~default:false)
-                   callers
-            in
-            if not ok then begin
-              Hashtbl.replace ps_entry key false;
-              stable := false
-            end
+          if not ok then begin
+            ps_entry.(mid) <- false;
+            stable := false
           end
         end)
       reachable
@@ -228,7 +211,7 @@ let compute_prestart (pt : Pointsto.t) (may_start : (string, bool) Hashtbl.t)
 
 type site = {
   s_site : int; (* site id *)
-  s_key : string; (* method *)
+  s_mid : int; (* method id *)
   s_iid : int; (* trace instruction id *)
   s_instr : Ir.instr;
   s_kind : Event.kind;
@@ -247,8 +230,8 @@ exception Unspecializable
 let collect_sites (pt : Pointsto.t) (prog : Ir.program) : site list =
   let acc = ref [] in
   Ir.iter_mirs prog (fun m ->
-      let key = Ir.mir_key m in
-      if Pointsto.is_reachable pt key then
+      let mid = m.Ir.mir_id in
+      if pt.Pointsto.reachable.(mid) then
         Ir.iter_instrs m (fun _ i ->
             match i.Ir.i_op with
             | Ir.Trace t ->
@@ -264,7 +247,7 @@ let collect_sites (pt : Pointsto.t) (prog : Ir.program) : site list =
                 acc :=
                   {
                     s_site = t.Ir.tr_site;
-                    s_key = key;
+                    s_mid = mid;
                     s_iid = i.Ir.i_id;
                     s_instr = i;
                     s_kind = t.Ir.tr_kind;
@@ -309,13 +292,13 @@ let compute (rs : Race_set.t) (prog : Ir.program) : Link.spec option =
       let may_start = compute_may_start pt in
       let prestart = compute_prestart pt may_start in
       let prestart_site s =
-        Option.value (Hashtbl.find_opt prestart (s.s_key, s.s_iid))
-          ~default:false
+        let row = prestart.(s.s_mid) in
+        s.s_iid < Array.length row && row.(s.s_iid)
       in
       let pts_of s =
         match s.s_base with
         | None -> Iset.empty
-        | Some r -> Pointsto.pts pt (Pointsto.Vreg (s.s_key, r))
+        | Some r -> Pointsto.pts_reg pt s.s_mid r
       in
       let base_pts = Array.map pts_of sites in
       (* Alias components: same loc-space group and overlapping base
@@ -355,10 +338,10 @@ let compute (rs : Race_set.t) (prog : Ir.program) : Link.spec option =
         id
       in
       let fixed_ok s =
-        match Icg.must_sync icg s.s_key s.s_instr with
+        match Icg.must_sync icg s.s_mid s.s_instr with
         | None -> false (* unconstrained top: unreachable node *)
         | Some musts ->
-            Iset.equal musts (Icg.may_sync icg s.s_key s.s_instr)
+            Iset.equal musts (Icg.may_sync icg s.s_mid s.s_instr)
             && Iset.for_all (Must.single_obj must) musts
       in
       Hashtbl.iter

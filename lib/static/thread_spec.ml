@@ -19,10 +19,11 @@ module Tast = Drd_lang.Tast
    datarace and are excluded from the static race set. *)
 
 type t = {
-  specific_methods : (string, unit) Hashtbl.t;
+  prog : Ir.program;
+  specific_methods : bool array; (* by method id *)
   specific_fields : (string * int, unit) Hashtbl.t; (* declaring class, index *)
   unsafe_classes : (string, unit) Hashtbl.t;
-  specific_objects : (int, unit) Hashtbl.t; (* abstract objects *)
+  specific_objects : bool array; (* by abstract object *)
 }
 
 let thread_classes (prog : Ir.program) =
@@ -36,6 +37,9 @@ let thread_classes (prog : Ir.program) =
 let compute (pt : Pointsto.t) : t =
   let prog = pt.Pointsto.prog in
   let tprog = prog.Ir.p_tprog in
+  let nmeth = Ir.n_mirs prog in
+  let mirs = prog.Ir.p_mirs in
+  let mid_of key = Option.map (fun m -> m.Ir.mir_id) (Ir.find_mir prog key) in
   let threads = thread_classes prog in
   let is_thread_class c =
     match Tast.find_class tprog c with
@@ -43,72 +47,61 @@ let compute (pt : Pointsto.t) : t =
     | None -> false
   in
   (* Instruction lookup for call-site inspection. *)
-  let instr_tbl = Hashtbl.create 1024 in
-  Ir.iter_mirs prog (fun m ->
-      Ir.iter_instrs m (fun _ i ->
-          Hashtbl.replace instr_tbl (Ir.mir_key m, i.Ir.i_id) i));
+  let instr_at = Ir.instr_lookup mirs in
   (* Explicitly-invoked run methods. *)
-  let explicitly_called = Hashtbl.create 16 in
+  let explicitly_called = Array.make nmeth false in
   Ir.iter_mirs prog (fun m ->
       Ir.iter_instrs m (fun _ i ->
           match i.Ir.i_op with
           | Ir.Call _ ->
               List.iter
-                (fun tgt -> Hashtbl.replace explicitly_called tgt ())
-                (Pointsto.call_targets_of pt (Ir.mir_key m) i.Ir.i_id)
+                (fun tgt -> explicitly_called.(tgt) <- true)
+                (Pointsto.call_targets_of pt m.Ir.mir_id i.Ir.i_id)
           | _ -> ()));
   (* Base set: thread constructors and start-only run methods. *)
-  let specific = Hashtbl.create 32 in
+  let specific = Array.make nmeth false in
   List.iter
     (fun cls ->
-      let ctor = cls ^ ".<init>" in
-      if Hashtbl.mem prog.Ir.p_methods ctor then
-        Hashtbl.replace specific ctor ();
+      Option.iter (fun mid -> specific.(mid) <- true) (mid_of (cls ^ ".<init>"));
       match Tast.dispatch tprog cls "run" with
-      | Some tm ->
-          let rk = tm.Tast.tm_class ^ ".run" in
-          if not (Hashtbl.mem explicitly_called rk) then
-            Hashtbl.replace specific rk ()
+      | Some tm -> (
+          match mid_of (tm.Tast.tm_class ^ ".run") with
+          | Some rk when not explicitly_called.(rk) -> specific.(rk) <- true
+          | _ -> ())
       | None -> ())
     threads;
   (* Closure rule (2): non-static methods whose direct callers are all
      thread-specific non-static methods passing their own this.  The
      set can only shrink as callers are examined, so iterate a
      candidate-removal fixpoint. *)
-  let is_instance key =
-    match Ir.find_mir prog key with
-    | Some m -> not m.Ir.mir_static
-    | None -> false
-  in
-  let candidate key =
-    is_instance key
-    && (not (Hashtbl.mem specific key))
-    && Pointsto.is_reachable pt key
-    &&
-    let callers = Pointsto.callers_of pt key in
-    callers <> []
+  let is_instance mid = not mirs.(mid).Ir.mir_static in
+  let candidate mid =
+    is_instance mid
+    && (not specific.(mid))
+    && pt.Pointsto.reachable.(mid)
+    && Pointsto.callers_of pt mid <> []
   in
   let passes_this (cs : Pointsto.call_site) =
-    match Hashtbl.find_opt instr_tbl (cs.Pointsto.cs_method, cs.Pointsto.cs_iid) with
+    match instr_at cs.Pointsto.cs_mid cs.Pointsto.cs_iid with
     | Some { Ir.i_op = Ir.Call (_, Ir.Virtual _, recv :: _, _); _ } -> recv = 0
     | _ -> false
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    Pointsto.iter_reachable pt (fun key ->
-        if candidate key then
-          let callers = Pointsto.callers_of pt key in
+    Pointsto.iter_reachable pt (fun m ->
+        let mid = m.Ir.mir_id in
+        if candidate mid then
           let ok =
             List.for_all
               (fun (cs : Pointsto.call_site) ->
-                Hashtbl.mem specific cs.Pointsto.cs_method
-                && is_instance cs.Pointsto.cs_method
+                specific.(cs.Pointsto.cs_mid)
+                && is_instance cs.Pointsto.cs_mid
                 && passes_this cs)
-              callers
+              (Pointsto.callers_of pt mid)
           in
           if ok then begin
-            Hashtbl.replace specific key ();
+            specific.(mid) <- true;
             changed := true
           end)
   done;
@@ -128,18 +121,17 @@ let compute (pt : Pointsto.t) : t =
             ci.Tast.cls_fields
       | None -> ())
     threads;
-  Ir.iter_mirs prog (fun m ->
-      let key = Ir.mir_key m in
-      let meth_specific = Hashtbl.mem specific key && not m.Ir.mir_static in
-      Ir.iter_instrs m (fun _ i ->
-          match i.Ir.i_op with
-          | Ir.GetField (_, o, fm) | Ir.PutField (o, fm, _) ->
-              let k = (fm.Ir.fm_class, fm.Ir.fm_index) in
-              if
-                Hashtbl.mem field_ok k
-                && not (meth_specific && o = 0)
-              then Hashtbl.replace disqualify k ()
-          | _ -> ()));
+  if Hashtbl.length field_ok > 0 then
+    Ir.iter_mirs prog (fun m ->
+        let meth_specific = specific.(m.Ir.mir_id) && not m.Ir.mir_static in
+        Ir.iter_instrs m (fun _ i ->
+            match i.Ir.i_op with
+            | Ir.GetField (_, o, fm) | Ir.PutField (o, fm, _) ->
+                if not (meth_specific && o = 0) then begin
+                  let k = (fm.Ir.fm_class, fm.Ir.fm_index) in
+                  if Hashtbl.mem field_ok k then Hashtbl.replace disqualify k ()
+                end
+            | _ -> ()));
   let specific_fields_tbl = Hashtbl.create 32 in
   Hashtbl.iter
     (fun k () ->
@@ -150,73 +142,66 @@ let compute (pt : Pointsto.t) : t =
      in a non-receiver position / to a non-thread-specific callee). *)
   let unsafe = Hashtbl.create 8 in
   let reaches_start =
-    let memo = Hashtbl.create 32 in
-    let rec go visiting key =
-      match Hashtbl.find_opt memo key with
-      | Some b -> b
-      | None ->
-          if List.mem key visiting then false
+    let memo = Array.make nmeth (-1) in
+    let rec go visiting mid =
+      match memo.(mid) with
+      | 1 -> true
+      | 0 -> false
+      | _ ->
+          if List.memq mid visiting then false
           else
-            let b =
-              match Ir.find_mir prog key with
-              | None -> false
-              | Some m ->
-                  let found = ref false in
-                  Ir.iter_instrs m (fun _ i ->
-                      match i.Ir.i_op with
-                      | Ir.ThreadStart _ -> found := true
-                      | Ir.Call _ ->
-                          if
-                            List.exists
-                              (go (key :: visiting))
-                              (Pointsto.call_targets_of pt key i.Ir.i_id)
-                          then found := true
-                      | _ -> ());
-                  !found
-            in
-            Hashtbl.replace memo key b;
-            b
+            let found = ref false in
+            Ir.iter_instrs mirs.(mid) (fun _ i ->
+                match i.Ir.i_op with
+                | Ir.ThreadStart _ -> found := true
+                | Ir.Call _ ->
+                    if
+                      List.exists
+                        (go (mid :: visiting))
+                        (Pointsto.call_targets_of pt mid i.Ir.i_id)
+                    then found := true
+                | _ -> ());
+            memo.(mid) <- (if !found then 1 else 0);
+            !found
     in
     go []
   in
-  let this_escapes key =
-    match Ir.find_mir prog key with
-    | None -> false
-    | Some m ->
-        let escapes = ref false in
-        Ir.iter_instrs m (fun _ i ->
-            match i.Ir.i_op with
-            | Ir.PutField (_, _, src) when src = 0 -> escapes := true
-            | Ir.PutStatic (_, src) when src = 0 -> escapes := true
-            | Ir.AStore (_, _, src) when src = 0 -> escapes := true
-            | Ir.Call (_, _, args, _) ->
-                List.iteri
-                  (fun idx a ->
-                    if a = 0 && idx > 0 then escapes := true
-                    else if a = 0 && idx = 0 then
-                      (* receiver position: fine only if every target is
-                         itself thread-specific *)
-                      if
-                        not
-                          (List.for_all
-                             (Hashtbl.mem specific)
-                             (Pointsto.call_targets_of pt key i.Ir.i_id))
-                      then escapes := true)
-                  args
-            | _ -> ());
-        Ir.iter_blocks m (fun b ->
-            match b.Ir.b_term with
-            | Ir.Ret (Some r) when r = 0 -> escapes := true
-            | _ -> ());
-        !escapes
+  let this_escapes mid =
+    let m = mirs.(mid) in
+    let escapes = ref false in
+    Ir.iter_instrs m (fun _ i ->
+        match i.Ir.i_op with
+        | Ir.PutField (_, _, src) when src = 0 -> escapes := true
+        | Ir.PutStatic (_, src) when src = 0 -> escapes := true
+        | Ir.AStore (_, _, src) when src = 0 -> escapes := true
+        | Ir.Call (_, _, args, _) ->
+            List.iteri
+              (fun idx a ->
+                if a = 0 && idx > 0 then escapes := true
+                else if a = 0 && idx = 0 then
+                  (* receiver position: fine only if every target is
+                     itself thread-specific *)
+                  if
+                    not
+                      (List.for_all
+                         (fun tgt -> specific.(tgt))
+                         (Pointsto.call_targets_of pt mid i.Ir.i_id))
+                  then escapes := true)
+              args
+        | _ -> ());
+    Ir.iter_blocks m (fun b ->
+        match b.Ir.b_term with
+        | Ir.Ret (Some r) when r = 0 -> escapes := true
+        | _ -> ());
+    !escapes
   in
   List.iter
     (fun cls ->
-      let ctor = cls ^ ".<init>" in
-      if Hashtbl.mem prog.Ir.p_methods ctor then begin
-        if reaches_start ctor || this_escapes ctor then
-          Hashtbl.replace unsafe cls ()
-      end)
+      match mid_of (cls ^ ".<init>") with
+      | Some ctor ->
+          if reaches_start ctor || this_escapes ctor then
+            Hashtbl.replace unsafe cls ()
+      | None -> ())
     threads;
   (* Thread-specific OBJECTS (Section 5.4, last paragraph): an abstract
      object only reachable through thread-specific methods of a safe
@@ -236,77 +221,55 @@ let compute (pt : Pointsto.t) : t =
     | Pointsto.Amain -> None
     | Pointsto.Aarr _ -> None
   in
-  let holders : (int, Pointsto.var list ref) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun v objs ->
-      Pointsto.Iset.iter
-        (fun o ->
-          let r =
-            match Hashtbl.find_opt holders o with
-            | Some r -> r
-            | None ->
-                let r = ref [] in
-                Hashtbl.add holders o r;
-                r
-          in
-          r := v :: !r)
-        objs)
-    pt.Pointsto.pts;
-  let candidate = Hashtbl.create 64 in
-  Hashtbl.iter (fun o _ -> Hashtbl.replace candidate o true) holders;
-  let method_of_key key =
-    match Ir.find_mir prog key with Some m -> Some m | None -> None
-  in
-  let var_ok o_candidates v =
-    match (v : Pointsto.var) with
-    | Pointsto.Vreg (m, _) -> (
-        Hashtbl.mem specific m
-        &&
-        match method_of_key m with
-        | Some mir -> not mir.Ir.mir_static
-        | None -> false)
-    | Pointsto.Vfield (ao, idx) -> (
+  let nobjs = Pointsto.n_objs pt in
+  let holders = Array.make nobjs [] in
+  Pointsto.iter_pts pt (fun h objs ->
+      Pointsto.Iset.iter (fun o -> holders.(o) <- h :: holders.(o)) objs);
+  (* [candidate.(o)]: still possibly thread-specific; starts as "held
+     somewhere". *)
+  let candidate = Array.map (fun hs -> hs <> []) holders in
+  let holder_ok (h : Pointsto.holder) =
+    match h with
+    | Pointsto.Hreg mid -> specific.(mid) && not mirs.(mid).Ir.mir_static
+    | Pointsto.Hfield (ao, idx) -> (
         match field_owner_of ao idx with
         | Some fi ->
             Hashtbl.mem specific_fields_tbl (fi.Tast.fld_owner, fi.Tast.fld_index)
             && not (Hashtbl.mem unsafe fi.Tast.fld_owner)
         | None -> false)
-    | Pointsto.Velem parent ->
+    | Pointsto.Helem parent ->
         (* inner array of a candidate array *)
-        Option.value (Hashtbl.find_opt o_candidates parent) ~default:false
-    | Pointsto.Vstatic _ | Pointsto.Vret _ -> false
+        candidate.(parent)
+    | Pointsto.Hother -> false
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    Hashtbl.iter
-      (fun o live ->
-        if live then
-          let hs = Option.value (Hashtbl.find_opt holders o) ~default:(ref []) in
-          if not (List.for_all (var_ok candidate) !hs) then begin
-            Hashtbl.replace candidate o false;
-            changed := true
-          end)
-      (Hashtbl.copy candidate)
+    for o = 0 to nobjs - 1 do
+      if candidate.(o) && not (List.for_all holder_ok holders.(o)) then begin
+        candidate.(o) <- false;
+        changed := true
+      end
+    done
   done;
-  let specific_objects = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun o live -> if live then Hashtbl.replace specific_objects o ())
-    candidate;
   {
+    prog;
     specific_methods = specific;
     specific_fields = specific_fields_tbl;
     unsafe_classes = unsafe;
-    specific_objects;
+    specific_objects = candidate;
   }
 
-let is_specific_method t key = Hashtbl.mem t.specific_methods key
+let is_specific_method t key =
+  match Ir.find_mir t.prog key with
+  | Some m -> t.specific_methods.(m.Ir.mir_id)
+  | None -> false
 
 let is_specific_field t ~cls ~index = Hashtbl.mem t.specific_fields (cls, index)
 
 let is_unsafe_class t cls = Hashtbl.mem t.unsafe_classes cls
 
-let is_specific_object t ao = Hashtbl.mem t.specific_objects ao
+let is_specific_object t ao = t.specific_objects.(ao)
 
 (* An access instruction that cannot race because it touches a
    thread-specific field of a safe thread. *)
