@@ -31,21 +31,36 @@ open Ir
    This subsumes the paper's dominance test: a path reaching [S_j]
    without passing [S_i] keeps its initial "dirty" state. *)
 
-type tr = { t_block : int; t_index : int; t_instr : instr; t_trace : trace }
+type tr = {
+  t_block : int;
+  t_index : int;
+  t_bar : int; (* index of the last barrier before it in its block, or -1 *)
+  t_instr : instr;
+  t_trace : trace;
+}
 
+(* The traces of a method, and the index of each block's last barrier
+   (-1 when it has none). *)
 let collect_traces m =
   let acc = ref [] in
+  let last_barrier = Array.make (n_blocks m) (-1) in
   iter_blocks m (fun b ->
       List.iteri
         (fun idx i ->
           match i.i_op with
           | Trace t ->
               acc :=
-                { t_block = b.b_label; t_index = idx; t_instr = i; t_trace = t }
+                {
+                  t_block = b.b_label;
+                  t_index = idx;
+                  t_bar = last_barrier.(b.b_label);
+                  t_instr = i;
+                  t_trace = t;
+                }
                 :: !acc
-          | _ -> ())
+          | op -> if is_barrier op then last_barrier.(b.b_label) <- idx)
         b.b_instrs);
-  List.rev !acc
+  (List.rev !acc, last_barrier)
 
 (* Grouping key for m-equality candidates. *)
 type group_key =
@@ -92,20 +107,23 @@ let clean = 1
 
 let dirty = 2
 
-let transfer_instr si_iid state (i : instr) =
-  if i.i_id = si_iid then if state = 0 then 0 else clean
-  else if is_barrier i.i_op then if state = 0 then 0 else dirty
-  else state
+(* The automaton's step over a stretch of instructions is decided by
+   the last of them that is [S_i] or a barrier: [S_i] makes a reachable
+   state clean, a barrier makes it dirty, and neither leaves it alone.
+   So a block's transfer needs only the position of [S_i] in it and of
+   its last barrier, and the state before [S_j] only [S_j]'s [t_bar]. *)
 
 (* For candidate [S_i], compute the automaton state at the entry of each
    block, then decide [Exec(S_i, S_j)] for the given [S_j]s. *)
-let exec_states m si =
+let exec_states m last_barrier si =
   let n = n_blocks m in
   let entry_state = Array.make n 0 in
   entry_state.(m.mir_entry) <- dirty;
   let transfer_block b state =
-    List.fold_left (transfer_instr si.t_instr.i_id) state
-      (block m b).b_instrs
+    if state = 0 then 0
+    else if b = si.t_block && si.t_index > last_barrier.(b) then clean
+    else if last_barrier.(b) >= 0 then dirty
+    else state
   in
   let changed = ref true in
   while !changed do
@@ -126,26 +144,23 @@ let exec_states m si =
   done;
   entry_state
 
-let exec_holds m entry_state si sj =
-  (* State just before S_j: transfer from its block entry through the
-     preceding instructions. *)
+(* Is the state just before [S_j] exactly clean? *)
+let exec_holds entry_state si sj =
   if si.t_instr.i_id = sj.t_instr.i_id then false
   else
-    let blk = block m sj.t_block in
-    let rec walk idx state = function
-      | [] -> state
-      | _ when idx = sj.t_index -> state
-      | i :: rest -> walk (idx + 1) (transfer_instr si.t_instr.i_id state i) rest
-    in
-    let state = walk 0 entry_state.(sj.t_block) blk.b_instrs in
-    state = clean
+    let entry = entry_state.(sj.t_block) in
+    entry <> 0
+    &&
+    if si.t_block = sj.t_block && si.t_index < sj.t_index then
+      si.t_index > sj.t_bar
+    else sj.t_bar < 0 && entry = clean
 
 let kind_leq = Event.kind_leq
 
 (* Eliminate redundant traces in one method; returns the number of
    traces removed. *)
 let eliminate_mir (m : mir) : int =
-  let traces = collect_traces m in
+  let traces, last_barrier = collect_traces m in
   if List.length traces < 2 then 0
   else begin
     let vn = lazy (Vn.compute m (Ssa.compute m)) in
@@ -176,11 +191,11 @@ let eliminate_mir (m : mir) : int =
                 group
             in
             if candidates <> [] then begin
-              let states = exec_states m si in
+              let states = exec_states m last_barrier si in
               List.iter
                 (fun sj ->
                   if
-                    exec_holds m states si sj
+                    exec_holds states si sj
                     && not eliminated.(sj.t_instr.i_id)
                   then begin
                     eliminated.(sj.t_instr.i_id) <- true;

@@ -1,7 +1,8 @@
 (* SSA construction "on the side": the IR is not rewritten; instead we
    compute, for every register use at every instruction, the SSA value
    (definition instance) that reaches it.  Phi values are placed with
-   the standard iterated-dominance-frontier algorithm and renaming is a
+   the standard iterated-dominance-frontier algorithm (semi-pruned: only
+   for registers live across some block boundary) and renaming is a
    dominator-tree walk.  The result feeds dominance-based value
    numbering (paper Section 6.2: "conversion to SSA form is performed,
    during which the dominance relation is computed"). *)
@@ -46,6 +47,21 @@ let compute (m : Ir.mir) : t =
             | Some d -> def_blocks.(d) <- b.Ir.b_label :: def_blocks.(d)
             | None -> ())
           b.Ir.b_instrs);
+  (* Semi-pruned placement: a register no block reads before writing it
+     is never live across a block boundary, so none of its phis could
+     reach a use, and it gets none.  That skips most temporaries; every
+     use still sees the same reaching definition. *)
+  let global = Array.make nregs false in
+  let written = Array.make nregs (-1) in
+  Ir.iter_blocks m (fun b ->
+      let l = b.Ir.b_label in
+      let read r = if written.(r) <> l then global.(r) <- true in
+      List.iter
+        (fun (i : Ir.instr) ->
+          List.iter read (Ir.uses i.Ir.i_op);
+          match Ir.def i.Ir.i_op with Some d -> written.(d) <- l | None -> ())
+        b.Ir.b_instrs;
+      List.iter read (Ir.term_uses b.Ir.b_term));
   (* Phi placement via iterated dominance frontiers, one register at a
      time.  [placed.(b) = r] and [queued.(b) = r] mark block [b] for the
      register being placed, so two arrays serve every register without
@@ -54,7 +70,7 @@ let compute (m : Ir.mir) : t =
   let phis_of_block = Array.make nblocks [] in
   let placed = Array.make nblocks (-1) and queued = Array.make nblocks (-1) in
   for r = 0 to nregs - 1 do
-    let work = ref def_blocks.(r) in
+    let work = ref (if global.(r) then def_blocks.(r) else []) in
     List.iter (fun b -> queued.(b) <- r) !work;
     while !work <> [] do
       match !work with
