@@ -244,7 +244,22 @@ let dce (m : mir) : int =
       | Const (d, c) when def_count.(d) = 1 -> const_env.(d) <- Some c
       | _ -> ());
   let const_of r = const_env.(r) in
-  let rev_instrs = Array.map (fun b -> List.rev b.b_instrs) m.mir_blocks in
+  (* Each block's instructions, last first, with what liveness reads of
+     them decoded once: the defined register (or -1), the used
+     registers, and whether the instruction may go when its result is
+     dead. *)
+  let rev_instrs =
+    Array.map
+      (fun b ->
+        List.rev_map
+          (fun (i : instr) ->
+            ( i,
+              (match def i.i_op with Some d -> d | None -> -1),
+              uses i.i_op,
+              removable_if_dead i.i_op ~const_of ))
+          b.b_instrs)
+      m.mir_blocks
+  in
   let live_in = Array.init n (fun _ -> Bits.create nregs) in
   let live_out b =
     let blk = block m b in
@@ -253,14 +268,12 @@ let dce (m : mir) : int =
     List.iter (fun succ -> Bits.union_into s live_in.(succ)) (successors m b);
     s
   in
-  (* One backward step over [i] in [live]; [false] when [i] is dead. *)
-  let step live (i : instr) =
-    let keep =
-      (not (removable_if_dead i.i_op ~const_of))
-      || match def i.i_op with Some d -> Bits.mem live d | None -> true
-    in
-    (match def i.i_op with Some d -> Bits.remove live d | None -> ());
-    if keep then List.iter (Bits.add live) (uses i.i_op);
+  (* One backward step over an instruction in [live]; [false] when the
+     instruction is dead. *)
+  let step live (_, d, us, removable) =
+    let keep = (not removable) || d < 0 || Bits.mem live d in
+    if d >= 0 then Bits.remove live d;
+    if keep then List.iter (Bits.add live) us;
     keep
   in
   let changed = ref true in
@@ -269,7 +282,7 @@ let dce (m : mir) : int =
     for b = n - 1 downto 0 do
       if reachable.(b) then begin
         let live = live_out b in
-        List.iter (fun i -> ignore (step live i)) rev_instrs.(b);
+        List.iter (fun di -> ignore (step live di)) rev_instrs.(b);
         if not (Bits.equal live live_in.(b)) then begin
           live_in.(b) <- live;
           changed := true
@@ -289,8 +302,8 @@ let dce (m : mir) : int =
         let live = live_out blk.b_label in
         blk.b_instrs <-
           List.fold_left
-            (fun kept i ->
-              if step live i then i :: kept
+            (fun kept ((i, _, _, _) as di) ->
+              if step live di then i :: kept
               else begin
                 incr removed;
                 kept

@@ -85,96 +85,48 @@ let starts_decl st =
 
 (* ---- expressions ---- *)
 
-let rec parse_expr st = parse_or st
+(* Binary operators by precedence climbing: one loop instead of a
+   function per level.  All levels are left-associative; from loosest
+   to tightest: || && (== !=) (< <= > >=) (+ -) ( * / %). *)
+let binop_prec = function
+  | OROR -> 1
+  | ANDAND -> 2
+  | EQ | NE -> 3
+  | LT | LE | GT | GE -> 4
+  | PLUS | MINUS -> 5
+  | STAR | SLASH | PERCENT -> 6
+  | _ -> 0
 
-and parse_or st =
-  let lhs = ref (parse_and st) in
-  while peek_kind st == OROR do
-    let pos = (advance st).pos in
-    let rhs = parse_and st in
-    lhs := { e = Binop (Or, !lhs, rhs); epos = pos }
-  done;
-  !lhs
+let binop_of = function
+  | OROR -> Ast.Or
+  | ANDAND -> Ast.And
+  | EQ -> Ast.Eq
+  | NE -> Ast.Ne
+  | LT -> Ast.Lt
+  | LE -> Ast.Le
+  | GT -> Ast.Gt
+  | GE -> Ast.Ge
+  | PLUS -> Ast.Add
+  | MINUS -> Ast.Sub
+  | STAR -> Ast.Mul
+  | SLASH -> Ast.Div
+  | PERCENT -> Ast.Mod
+  | k -> invalid_arg ("binop_of " ^ describe k)
 
-and parse_and st =
-  let lhs = ref (parse_eq st) in
-  while peek_kind st == ANDAND do
-    let pos = (advance st).pos in
-    let rhs = parse_eq st in
-    lhs := { e = Binop (And, !lhs, rhs); epos = pos }
-  done;
-  !lhs
+let rec parse_expr st = parse_binary st 1
 
-and parse_eq st =
-  let lhs = ref (parse_rel st) in
-  let rec go () =
-    match peek_kind st with
-    | EQ | NE ->
-        let t = advance st in
-        let op = if t.kind == EQ then Ast.Eq else Ast.Ne in
-        let rhs = parse_rel st in
-        lhs := { e = Binop (op, !lhs, rhs); epos = t.pos };
-        go ()
-    | _ -> ()
+and parse_binary st min_prec =
+  let rec loop lhs =
+    let t = peek st in
+    let prec = binop_prec t.kind in
+    if prec >= min_prec then begin
+      ignore (advance st);
+      let rhs = parse_binary st (prec + 1) in
+      loop { e = Binop (binop_of t.kind, lhs, rhs); epos = t.pos }
+    end
+    else lhs
   in
-  go ();
-  !lhs
-
-and parse_rel st =
-  let lhs = ref (parse_add st) in
-  let rec go () =
-    match peek_kind st with
-    | LT | LE | GT | GE ->
-        let t = advance st in
-        let op =
-          match t.kind with
-          | LT -> Ast.Lt
-          | LE -> Ast.Le
-          | GT -> Ast.Gt
-          | _ -> Ast.Ge
-        in
-        let rhs = parse_add st in
-        lhs := { e = Binop (op, !lhs, rhs); epos = t.pos };
-        go ()
-    | _ -> ()
-  in
-  go ();
-  !lhs
-
-and parse_add st =
-  let lhs = ref (parse_mul st) in
-  let rec go () =
-    match peek_kind st with
-    | PLUS | MINUS ->
-        let t = advance st in
-        let op = if t.kind == PLUS then Ast.Add else Ast.Sub in
-        let rhs = parse_mul st in
-        lhs := { e = Binop (op, !lhs, rhs); epos = t.pos };
-        go ()
-    | _ -> ()
-  in
-  go ();
-  !lhs
-
-and parse_mul st =
-  let lhs = ref (parse_unary st) in
-  let rec go () =
-    match peek_kind st with
-    | STAR | SLASH | PERCENT ->
-        let t = advance st in
-        let op =
-          match t.kind with
-          | STAR -> Ast.Mul
-          | SLASH -> Ast.Div
-          | _ -> Ast.Mod
-        in
-        let rhs = parse_unary st in
-        lhs := { e = Binop (op, !lhs, rhs); epos = t.pos };
-        go ()
-    | _ -> ()
-  in
-  go ();
-  !lhs
+  loop (parse_unary st)
 
 and parse_unary st =
   match peek_kind st with
