@@ -122,35 +122,37 @@ let frontiers (m : Ir.mir) (d : t) : int list array =
   df
 
 (* Natural loops: back edges (t -> h with h dominating t) and their loop
-   bodies; used by tests and by loop-related diagnostics. *)
+   bodies, [h] plus every reachable block that reaches [t] without
+   passing [h]; used by the single-instance analysis and by tests.
+   [mark.(x) = e] records that back edge [e] has visited [x], so one
+   array serves every edge. *)
 let natural_loops (m : Ir.mir) (d : t) : (int * int list) list =
+  let n = Ir.n_blocks m in
+  let preds = Array.make n [] in
+  Array.iter
+    (fun b -> List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Ir.successors m b))
+    d.rpo;
+  let mark = Array.make n (-1) in
+  let edge = ref 0 in
   let loops = ref [] in
   Array.iter
     (fun b ->
       List.iter
-        (fun s ->
-          if dominates d s b then begin
-            (* back edge b -> s; collect body by reverse reachability *)
-            let body = Hashtbl.create 8 in
-            Hashtbl.replace body s ();
-            let preds = Array.make (Ir.n_blocks m) [] in
-            Array.iter
-              (fun b' ->
-                if reachable d b' then
-                  List.iter
-                    (fun s' -> preds.(s') <- b' :: preds.(s'))
-                    (Ir.successors m b'))
-              d.rpo;
+        (fun h ->
+          if dominates d h b then begin
+            incr edge;
+            let e = !edge in
+            mark.(h) <- e;
+            let body = ref [ h ] in
             let rec walk x =
-              if not (Hashtbl.mem body x) then begin
-                Hashtbl.replace body x ();
+              if mark.(x) <> e then begin
+                mark.(x) <- e;
+                body := x :: !body;
                 List.iter walk preds.(x)
               end
             in
             walk b;
-            loops :=
-              (s, Hashtbl.fold (fun k () acc -> k :: acc) body [])
-              :: !loops
+            loops := (h, !body) :: !loops
           end)
         (Ir.successors m b))
     d.rpo;

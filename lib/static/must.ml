@@ -21,46 +21,13 @@ type t = {
   in_loop : bool array array; (* [method id].(iid) -> in a loop *)
 }
 
-(* The blocks of some natural loop: for every back edge [t -> h] ([h]
-   dominates [t]), [h] plus every reachable block that reaches [t]
-   without passing [h].  [mark.(x) = e] records that back edge [e] has
-   visited [x], so one array serves every edge. *)
-let loop_blocks (m : Ir.mir) =
-  let n = Ir.n_blocks m in
-  let dom = Dominance.compute m in
-  let preds = Array.make n [] in
-  Array.iter
-    (fun b -> List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Ir.successors m b))
-    dom.Dominance.rpo;
-  let in_loop = Array.make n false in
-  let mark = Array.make n (-1) in
-  let edge = ref 0 in
-  Array.iter
-    (fun b ->
-      List.iter
-        (fun h ->
-          if Dominance.dominates dom h b then begin
-            incr edge;
-            let e = !edge in
-            mark.(h) <- e;
-            in_loop.(h) <- true;
-            let rec walk x =
-              if mark.(x) <> e then begin
-                mark.(x) <- e;
-                in_loop.(x) <- true;
-                List.iter walk preds.(x)
-              end
-            in
-            walk b
-          end)
-        (Ir.successors m b))
-    dom.Dominance.rpo;
-  in_loop
-
 let compute_in_loop (prog : Ir.program) =
   Array.map
     (fun (m : Ir.mir) ->
-      let blocks = loop_blocks m in
+      let blocks = Array.make (Ir.n_blocks m) false in
+      List.iter
+        (fun (_, body) -> List.iter (fun b -> blocks.(b) <- true) body)
+        (Dominance.natural_loops m (Dominance.compute m));
       (* An id with no instruction reads as "in a loop", the safe side. *)
       let row = Array.make m.Ir.mir_next_iid true in
       Ir.iter_blocks m (fun b ->
