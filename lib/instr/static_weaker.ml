@@ -194,10 +194,7 @@ let eliminate_mir (m : mir) : int =
               let states = exec_states m last_barrier si in
               List.iter
                 (fun sj ->
-                  if
-                    exec_holds states si sj
-                    && not eliminated.(sj.t_instr.i_id)
-                  then begin
+                  if exec_holds states si sj then begin
                     eliminated.(sj.t_instr.i_id) <- true;
                     incr n_eliminated
                   end)

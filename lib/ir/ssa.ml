@@ -100,8 +100,8 @@ let compute (m : Ir.mir) : t =
     v
   in
   let stacks = Array.make nregs [] in
-  let use_val = Int_tbl.create 256 0 in
-  let phi_args = Int_tbl.create 32 [] in
+  let use_val = Int_tbl.create m.Ir.mir_next_iid 0 in
+  let phi_args = Int_tbl.create nblocks [] in
   (* Parameters are defined at entry. *)
   let param_vals =
     List.init m.Ir.mir_nparams (fun r -> (r, fresh_value (Dparam r)))
