@@ -229,11 +229,18 @@ let test_identity () =
         | None -> Some (prog ^ "/" ^ cfg ^ " (not recorded)"))
       got
   in
-  if bad <> [] then
-    Alcotest.failf "compile output changed for %d of %d cases: %s"
+  if bad <> [] then begin
+    (* A change that means to alter compile output replaces the digest
+       file with this one, and says why. *)
+    let oc = open_out_bin "compile_identity.actual" in
+    List.iter (fun (p, c, m) -> Printf.fprintf oc "%s %s %s\n" p c m) got;
+    close_out oc;
+    Alcotest.failf
+      "compile output changed for %d of %d cases (current digests in \
+       compile_identity.actual): %s"
       (List.length bad) (List.length got)
-      (String.concat ", "
-         (List.filteri (fun i _ -> i < 12) bad))
+      (String.concat ", " (List.filteri (fun i _ -> i < 12) bad))
+  end
 
 let suite =
   [
