@@ -1,7 +1,8 @@
 (** SSA construction "on the side": the IR is not rewritten; instead,
     for every register use at every instruction, the analysis computes
     the SSA value (definition instance) reaching it.  Phi values are
-    placed with iterated dominance frontiers; renaming is a
+    placed with iterated dominance frontiers, only for registers some
+    block reads before writing (semi-pruned); renaming is a
     dominator-tree walk.  This feeds dominance-based value numbering
     (paper Section 6.2: "conversion to SSA form is performed, during
     which the dominance relation is computed"). *)

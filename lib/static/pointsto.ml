@@ -28,17 +28,14 @@ type abs_obj = {
 module Iset = Set.Make (Int)
 module Int_tbl = Drd_core.Int_tbl
 
-(* A variable of the constraint system, as callers name it.  Inside the
-   solver every variable is a dense int: the registers of method [m]
-   are [reg_base.(m) + reg], then one return variable per method and one
-   per static slot, then field and array-element variables numbered as
-   they first appear. *)
+(* Inside the solver every variable is a dense int: the registers of
+   method [m] are [reg_base.(m) + reg], then one return variable per
+   method and one per static slot, then field and array-element
+   variables numbered as they first appear.  [var] names a register or
+   a static for callers outside the analysis. *)
 type var =
   | Vreg of string * int (* method key, register *)
-  | Vfield of int * int (* abstract object, field index *)
-  | Velem of int (* abstract object (array) *)
   | Vstatic of int (* static slot *)
-  | Vret of string (* method key *)
 
 (* A variable as [iter_pts] reports it. *)
 type holder =
@@ -62,7 +59,6 @@ type t = {
   objs : abs_obj array;
   lay : layout;
   pts_of : Iset.t array; (* var -> points-to set *)
-  dyn_vars : int Int_tbl.t; (* field/element key -> var *)
   dyn_holders : holder array; (* var - nfixed -> what it is *)
   (* call graph: resolved targets per call site, and reverse edges *)
   call_targets : int list array array; (* [method].(iid) -> target methods *)
@@ -95,29 +91,16 @@ let layout (prog : Ir.program) =
   in
   { reg_base; ret_base; static_base; nfixed; field_stride = max_fields + 1 }
 
-let mid_of r key = Option.map (fun m -> m.Ir.mir_id) (Ir.find_mir r.prog key)
-
 let var_id r = function
   | Vreg (key, reg) -> (
       match Ir.find_mir r.prog key with
       | Some m when reg >= 0 && reg < m.Ir.mir_nregs ->
           Some (r.lay.reg_base.(m.Ir.mir_id) + reg)
       | _ -> None)
-  | Vret key -> Option.map (fun mid -> r.lay.ret_base + mid) (mid_of r key)
   | Vstatic slot ->
       if slot >= 0 && r.lay.static_base + slot < r.lay.nfixed then
         Some (r.lay.static_base + slot)
       else None
-  | Vfield (ao, idx) -> (
-      if idx < 0 || idx >= r.lay.field_stride - 1 then None
-      else
-        match Int_tbl.find r.dyn_vars ((ao * r.lay.field_stride) + idx) with
-        | v -> Some v
-        | exception Not_found -> None)
-  | Velem ao -> (
-      match Int_tbl.find r.dyn_vars ((ao * r.lay.field_stride) + r.lay.field_stride - 1) with
-      | v -> Some v
-      | exception Not_found -> None)
 
 let pts r v =
   match var_id r v with Some id -> r.pts_of.(id) | None -> Iset.empty
@@ -397,7 +380,6 @@ let solve (prog : Ir.program) : t =
     objs = Array.sub s.sobjs 0 s.nobjs;
     lay;
     pts_of = Array.sub s.spts 0 s.nvars;
-    dyn_vars = s.vars;
     dyn_holders = Array.of_list (List.rev s.holders);
     call_targets = s.scall_targets;
     callers = s.scallers;
@@ -410,7 +392,9 @@ let solve (prog : Ir.program) : t =
   }
 
 let is_reachable r key =
-  match mid_of r key with Some mid -> r.reachable.(mid) | None -> false
+  match Ir.find_mir r.prog key with
+  | Some m -> r.reachable.(m.Ir.mir_id)
+  | None -> false
 
 (* Queries by method id. *)
 
