@@ -117,8 +117,6 @@ let microbench () =
   run_bechamel (table3_micro_tests ())
 
 (* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Ablations for the design choices DESIGN.md calls out: the 256-entry
    cache size the paper fixes (Section 4.3), and the per-location vs
    packed history representation. *)
@@ -163,880 +161,39 @@ let ablation () =
     [ ("per-location", Detector.Per_location); ("packed", Detector.Packed) ];
   fpf "@."
 
-(* ------------------------------------------------------------------ *)
-(* Exploration-engine throughput: runs/sec and events/sec for a PCT
-   campaign on tsp at 1, 2 and 4 workers, and the resulting parallel
-   speedup.  --json additionally writes BENCH_explore.json.  The
-   speedup is only meaningful relative to the machine: the JSON
-   records recommended_domain_count so a 1-core container's ~1.0x is
-   not misread as a regression. *)
-
-(* Provenance stamped into every benchmark JSON so tracked numbers can
-   be tied to a commit and toolchain. *)
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then "unknown" else line
-  with _ -> "unknown"
-
-let iso8601_now () =
-  let t = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-    t.Unix.tm_sec
-
-let bpf_meta buf =
-  Printf.bprintf buf
-    "  \"commit\": \"%s\",\n  \"ocaml_version\": \"%s\",\n  \"timestamp\": \
-     \"%s\",\n"
-    (git_commit ()) Sys.ocaml_version (iso8601_now ())
-
-(* Shared scaffolding for the tracked benchmark JSON files
-   (BENCH_*.json): open brace, provenance meta, section-specific body,
-   close brace, write and announce.  [fill] emits the body lines
-   (indented two spaces, last line without a trailing comma). *)
-let write_json ~file fill =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  bpf_meta buf;
-  fill buf;
-  Buffer.add_string buf "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  fpf "wrote %s@.@." file
-
-(* JSON array elements with the trailing-comma discipline: [emit]
-   writes one element, without the separator or newline. *)
-let bpf_elems buf items emit =
-  let last = List.length items - 1 in
-  List.iteri
-    (fun i x ->
-      emit buf x;
-      Buffer.add_string buf (if i = last then "\n" else ",\n"))
-    items
-
-let explore_bench ~quick ~json () =
-  let module E = Drd_explore in
-  let b = Option.get (H.Programs.find "tsp") in
-  let runs = if quick then 16 else 48 in
-  let spec workers =
-    E.Explore.spec ~strategy:(E.Strategy.Pct 3) ~workers
-      ~budget:(E.Explore.runs_budget runs) H.Config.full
-  in
-  let report_bytes r =
-    ( E.Explore.report_text ~timing:false ~target:"-b tsp" r,
-      E.Explore.report_json ~timing:false r )
-  in
-  fpf "Exploration engine throughput (pct, tsp, %d runs/campaign)@." runs;
-  fpf "%8s %6s %10s %12s %14s %9s@." "workers" "batch" "wall" "runs/s"
-    "events/s" "races";
-  let rows =
-    List.map
-      (fun workers ->
-        let r = E.Explore.run_campaign (spec workers) ~source:b.H.Programs.b_source in
-        let rps = E.Explore.runs_per_sec r in
-        let batch = E.Pool.default_batch ~workers ~total:runs in
-        fpf "%8d %6d %9.2fs %12.1f %14.0f %9d@." workers batch
-          r.E.Explore.r_wall rps
-          (E.Explore.events_per_sec r)
-          r.E.Explore.r_stats.E.Aggregate.st_distinct_races;
-        (workers, batch, r, rps))
-      [ 1; 2; 4 ]
-  in
-  (* The scaling claim is only worth stamping if the outputs agree:
-     every worker count must render the identical report. *)
-  let reports_identical =
-    match rows with
-    | (_, _, r1, _) :: rest ->
-        let base = report_bytes r1 in
-        List.for_all (fun (_, _, r, _) -> report_bytes r = base) rest
-    | [] -> false
-  in
-  if not reports_identical then
-    failwith "explore bench: reports differ across worker counts";
-  (* Zero-realloc contract: a campaign whose workers reuse one run
-     context each (the default) must render byte-for-byte what fresh
-     per-run state renders, at every worker count.  Refuse to stamp
-     throughput numbers measured on a pool that changed the output. *)
-  let ctx_reuse_identical =
-    List.for_all
-      (fun (workers, _, r, _) ->
-        let fresh =
-          E.Explore.run_campaign ~reuse_ctx:false (spec workers)
-            ~source:b.H.Programs.b_source
-        in
-        report_bytes fresh = report_bytes r)
-      rows
-  in
-  if not ctx_reuse_identical then
-    failwith "explore bench: context reuse changed the report";
-  (* Warm per-run allocation of the campaign hot loop: one reused
-     context, sweep spec, per-domain minor-word counter.  This is the
-     number the tentpole optimization moved (~150k -> <50k) and the
-     suite pins at 100k (test_explore_engine). *)
-  let minor_words_per_run =
-    let compiled =
-      H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_source
-    in
-    let ctx = H.Pipeline.Run_ctx.create compiled in
-    let rsp =
-      E.Strategy.spec E.Strategy.Sweep ~base:H.Config.full ~pct_horizon:5_000 0
-    in
-    ignore (E.Explore.observe_run ~ctx compiled rsp);
-    ignore (E.Explore.observe_run ~ctx compiled rsp);
-    let n = 8 in
-    let before = Gc.minor_words () in
-    for _ = 1 to n do
-      ignore (E.Explore.observe_run ~ctx compiled rsp)
-    done;
-    (Gc.minor_words () -. before) /. float_of_int n
-  in
-  fpf "ctx reuse identical: %b; warm hot loop: %.0f minor words/run@."
-    ctx_reuse_identical minor_words_per_run;
-  let rps_of w = match List.find_opt (fun (w', _, _, _) -> w' = w) rows with
-    | Some (_, _, _, rps) -> rps
-    | None -> 0.
-  in
-  let speedup w = rps_of w /. Float.max (rps_of 1) 1e-9 in
-  let cores = Domain.recommended_domain_count () in
-  fpf "speedup: 2 workers %.2fx, 4 workers %.2fx (%d core%s available, \
-       reports identical: %b)@.@."
-    (speedup 2) (speedup 4) cores (if cores = 1 then "" else "s")
-    reports_identical;
-  (* Hand-off granularity: same campaign, same workers, forced batch
-     sizes.  The report is byte-identical at every size (asserted); the
-     sweep shows what the per-claim overhead costs at batch 1 and what
-     the default claws back. *)
-  let batch_workers = 2 in
-  fpf "Work-queue batch sweep (%d workers, %d runs)@." batch_workers runs;
-  fpf "%8s %10s %12s@." "batch" "wall" "runs/s";
-  let batch_rows =
-    let base = ref None in
-    List.map
-      (fun batch ->
-        let r =
-          E.Explore.run_campaign ~batch (spec batch_workers)
-            ~source:b.H.Programs.b_source
-        in
-        (match !base with
-        | None -> base := Some (report_bytes r)
-        | Some bytes ->
-            if report_bytes r <> bytes then
-              failwith "explore bench: reports differ across batch sizes");
-        let rps = E.Explore.runs_per_sec r in
-        fpf "%8d %9.2fs %12.1f@." batch r.E.Explore.r_wall rps;
-        (batch, r, rps))
-      [ 1; 4; 16 ]
-  in
-  fpf "@.";
-  (* Happens-before replay pruning: how many detector replays --equiv hb
-     skips on PCT campaigns, with the invariant that the deduped race
-     report stays identical to the raw-equivalence campaign's. *)
-  let hb_cases =
-    (* tsp schedules diverge fast at long horizons (every run its own
-       class); 5k priority-change points is where PCT revisits
-       happens-before classes often enough for pruning to bite. *)
-    let runs = if quick then 40 else 80 in
-    [ ("needle", runs, 10_000); ("tsp", runs, 5_000) ]
-  in
-  fpf "Happens-before replay pruning (pct campaigns, --equiv hb)@.";
-  fpf "%8s %6s %9s %8s %13s %13s@." "program" "runs" "classes" "pruned"
-    "pruned rate" "races match";
-  let hb_rows =
-    List.map
-      (fun (name, runs, horizon) ->
-        let b = Option.get (H.Programs.find name) in
-        let spec equiv =
-          E.Explore.spec ~strategy:(E.Strategy.Pct 3)
-            ~budget:(E.Explore.runs_budget runs) ~pct_horizon:horizon ~equiv
-            H.Config.full
-        in
-        let run equiv =
-          E.Explore.run_campaign (spec equiv) ~source:b.H.Programs.b_source
-        in
-        let raw = run E.Explore.Raw and hb = run E.Explore.Hb in
-        let stats = hb.E.Explore.r_stats in
-        let pruned = stats.E.Aggregate.st_pruned_runs in
-        let classes = stats.E.Aggregate.st_equiv_classes in
-        let rate = float_of_int pruned /. float_of_int (max runs 1) in
-        let races_match =
-          raw.E.Explore.r_races = hb.E.Explore.r_races
-          && raw.E.Explore.r_objects = hb.E.Explore.r_objects
-        in
-        fpf "%8s %6d %9d %8d %12.1f%% %13b@." name runs classes pruned
-          (100. *. rate) races_match;
-        (name, runs, horizon, classes, pruned, rate, races_match))
-      hb_cases
-  in
-  fpf "@.";
-  if json then
-    write_json ~file:"BENCH_explore.json" (fun buf ->
-        let bpf fmt = Printf.bprintf buf fmt in
-        bpf "  \"benchmark\": \"tsp\",\n  \"strategy\": \"pct(d=3)\",\n";
-        bpf "  \"runs_per_campaign\": %d,\n" runs;
-        bpf "  \"recommended_domain_count\": %d,\n" cores;
-        bpf "  \"reports_identical\": %b,\n" reports_identical;
-        bpf "  \"ctx_reuse_identical\": %b,\n" ctx_reuse_identical;
-        bpf "  \"minor_words_per_run\": %.0f,\n" minor_words_per_run;
-        bpf "  \"workers\": [\n";
-        bpf_elems buf rows (fun buf (workers, batch, r, rps) ->
-            Printf.bprintf buf
-              "    { \"workers\": %d, \"batch\": %d, \"wall_s\": %.4f, \
-               \"runs_per_sec\": %.2f, \"events_per_sec\": %.1f, \
-               \"events_per_sec_per_worker\": %.1f, \"distinct_races\": %d }"
-              workers batch r.E.Explore.r_wall rps
-              (E.Explore.events_per_sec r)
-              (E.Explore.events_per_sec_per_worker r)
-              r.E.Explore.r_stats.E.Aggregate.st_distinct_races);
-        bpf "  ],\n";
-        bpf "  \"speedup_2_workers\": %.3f,\n  \"speedup_4_workers\": %.3f,\n"
-          (speedup 2) (speedup 4);
-        bpf "  \"batch_sweep\": [\n";
-        bpf_elems buf batch_rows (fun buf (batch, r, rps) ->
-            Printf.bprintf buf
-              "    { \"workers\": %d, \"batch\": %d, \"wall_s\": %.4f, \
-               \"runs_per_sec\": %.2f }"
-              batch_workers batch r.E.Explore.r_wall rps);
-        bpf "  ],\n";
-        bpf "  \"hb_pruning\": [\n";
-        bpf_elems buf hb_rows
-          (fun buf (name, runs, horizon, classes, pruned, rate, races_match) ->
-            Printf.bprintf buf
-              "    { \"program\": \"%s\", \"strategy\": \"pct(d=3)\", \
-               \"runs\": %d, \"pct_horizon\": %d, \"equiv_classes\": %d, \
-               \"pruned_runs\": %d, \"pruned_rate\": %.3f, \
-               \"races_match_raw\": %b }"
-              name runs horizon classes pruned rate races_match);
-        bpf "  ]\n")
-
-(* ------------------------------------------------------------------ *)
-(* Detector replay throughput: events/sec for the runtime configurations
-   of Tables 2/3 (Full, NoCache, NoOwnership) plus the packed history,
-   replaying recorded logs of tsp and needle.  --json writes
-   BENCH_detector.json, the tracked benchmark for the interned-lockset
-   hot path.  The run also asserts the zero-allocation property: events
-   dropped by the cache or the ownership filter must not allocate. *)
-
-let detector_variants =
+(* The sections, in run order.  A run that names none runs them all;
+   any argument other than these flags and [--quick] is an error. *)
+let sections ~quick =
   [
-    ("Full", Detector.default_config);
-    ("NoCache", { Detector.default_config with Detector.use_cache = false });
-    ( "NoOwnership",
-      { Detector.default_config with Detector.use_ownership = false } );
-    ("Packed", { Detector.default_config with Detector.history = Detector.Packed });
+    ("--figure1", H.Tables.figure1);
+    ("--figure2", H.Tables.figure2);
+    ("--figure3", H.Tables.figure3);
+    ("--table1", H.Tables.table1);
+    ( "--table2",
+      fun () ->
+        ignore
+          (H.Tables.table2 ~runs:(if quick then 1 else 3) ~perf:(not quick) ())
+    );
+    ("--table3", fun () -> ignore (H.Tables.table3 ()));
+    ("--sor-vs-sor2", fun () -> ignore (H.Tables.sor_vs_sor2 ()));
+    ("--space", fun () -> ignore (H.Tables.space ()));
+    ("--join-example", H.Tables.join_example);
+    ("--baselines", fun () -> ignore (H.Tables.baselines ()));
+    ("--ablation", ablation);
+    ("--micro", microbench);
   ]
-
-(* Minor-heap words per event on the two filtered hot paths, measured in
-   steady state.  Fails loudly if either path starts allocating. *)
-let detector_alloc_check () =
-  let coll = Report.collector () in
-  let d_cache = Detector.create ~config:Detector.default_config coll in
-  let d_own =
-    Detector.create
-      ~config:{ Detector.default_config with Detector.use_cache = false }
-      coll
-  in
-  let locks = Lockset_id.of_list [ 7 ] in
-  Detector.on_access_interned d_cache ~loc:2 ~thread:1 ~locks ~kind:Event.Read
-    ~site:3;
-  Detector.on_access_interned d_own ~loc:1 ~thread:0 ~locks ~kind:Event.Write
-    ~site:1;
-  let n = 100_000 in
-  let measure step =
-    let before = Gc.minor_words () in
-    for _ = 1 to n do
-      step ()
-    done;
-    (Gc.minor_words () -. before) /. float_of_int n
-  in
-  let cache_hit_words =
-    measure (fun () ->
-        Detector.on_access_interned d_cache ~loc:2 ~thread:1 ~locks
-          ~kind:Event.Read ~site:3)
-  in
-  let owned_words =
-    measure (fun () ->
-        Detector.on_access_interned d_own ~loc:1 ~thread:0 ~locks
-          ~kind:Event.Write ~site:1)
-  in
-  if cache_hit_words > 0.01 then
-    failwith
-      (Printf.sprintf "cache-hit path allocates %.3f words/event" cache_hit_words);
-  if owned_words > 0.01 then
-    failwith
-      (Printf.sprintf "ownership path allocates %.3f words/event" owned_words);
-  (cache_hit_words, owned_words)
-
-let detector_bench ~quick ~json () =
-  let programs = [ "tsp"; "needle" ] in
-  let target_events = if quick then 300_000 else 2_000_000 in
-  let trials = if quick then 2 else 4 in
-  let cache_hit_words, owned_words = detector_alloc_check () in
-  fpf "Detector replay throughput (events/sec, best of %d)@." trials;
-  fpf "hot-path allocation: cache-hit %.3f words/event, owned %.3f words/event@."
-    cache_hit_words owned_words;
-  fpf "%8s %14s %10s %14s %8s@." "program" "config" "entries" "events/s" "races";
-  let results =
-    List.map
-      (fun name ->
-        let b = Option.get (H.Programs.find name) in
-        let compiled =
-          H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_perf_source
-        in
-        let log, _ = H.Pipeline.record_log compiled in
-        let accesses = ref 0 in
-        Event_log.iter
-          (function Event_log.Access _ -> incr accesses | _ -> ())
-          log;
-        (* Short logs (needle) are replayed many times per trial so the
-           timer sees a meaningful amount of work. *)
-        let reps = max 1 (target_events / max !accesses 1) in
-        let rows =
-          List.map
-            (fun (cname, config) ->
-              let best = ref 0. and races = ref 0 in
-              for _ = 1 to trials do
-                let t0 = Unix.gettimeofday () in
-                let last_races = ref 0 in
-                for _ = 1 to reps do
-                  let coll = Report.collector () in
-                  let det = Detector.create ~config coll in
-                  Event_log.replay log det;
-                  last_races := Report.count coll
-                done;
-                let dt = Unix.gettimeofday () -. t0 in
-                let eps = float_of_int (reps * !accesses) /. Float.max dt 1e-9 in
-                if eps > !best then best := eps;
-                races := !last_races
-              done;
-              fpf "%8s %14s %10d %14.0f %8d@." name cname !accesses !best !races;
-              (cname, !best, !races))
-            detector_variants
-        in
-        (name, !accesses, reps, rows))
-      programs
-  in
-  fpf "@.";
-  if json then
-    write_json ~file:"BENCH_detector.json" (fun buf ->
-        let bpf fmt = Printf.bprintf buf fmt in
-        bpf "  \"target_events\": %d,\n  \"trials\": %d,\n" target_events
-          trials;
-        bpf
-          "  \"alloc_words_per_event\": { \"cache_hit\": %.4f, \"owned\": \
-           %.4f },\n"
-          cache_hit_words owned_words;
-        bpf "  \"programs\": [\n";
-        bpf_elems buf results (fun buf (name, accesses, reps, rows) ->
-            Printf.bprintf buf
-              "    { \"program\": \"%s\", \"access_events\": %d, \
-               \"replays_per_trial\": %d,\n"
-              name accesses reps;
-            Printf.bprintf buf "      \"configs\": [\n";
-            bpf_elems buf rows (fun buf (cname, eps, races) ->
-                Printf.bprintf buf
-                  "        { \"config\": \"%s\", \"events_per_sec\": %.0f, \
-                   \"races\": %d }"
-                  cname eps races);
-            Printf.bprintf buf "      ] }");
-        bpf "  ]\n")
-
-(* ------------------------------------------------------------------ *)
-(* VM engine throughput: the link phase's payoff.  Measures, in the same
-   process, raw interpreter speed (steps/sec with the detector off — the
-   hot loop itself) and exploration-style campaign throughput (runs/sec
-   over PCT strategy specs with the full detector pipeline, the cost the
-   exploration engine pays per schedule) on tsp under both engines: the
-   frozen pre-link block interpreter (ref) and the linked flat-image
-   engine (linked).  Schedules are bit-identical, so the step counts
-   must agree exactly — the run fails loudly if they do not.  --json
-   writes BENCH_vm.json, the tracked benchmark for the link phase. *)
-
-let vm_bench ~quick ~json () =
-  let module E = Drd_explore in
-  let b = Option.get (H.Programs.find "tsp") in
-  let compiled =
-    H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_source
-  in
-  let engines =
-    [
-      ("ref", (`Ref : H.Pipeline.engine));
-      ("linked", `Linked);
-      ("specialized", `Spec);
-    ]
-  in
-  let step_trials = if quick then 3 else 5 in
-  fpf "VM engine throughput (tsp; ref = pre-link block interpreter)@.";
-  fpf "%8s %12s %14s@." "engine" "steps" "steps/s";
-  (* Trials are interleaved across engines (every round measures all
-     engines back to back) so host-speed drift over the bench's run
-     hits each engine equally instead of whichever is measured last;
-     best-of-N per engine then discards the slow rounds. *)
-  let steps_rows =
-    let acc =
-      List.map (fun (name, engine) -> (name, engine, ref 0, ref 0.)) engines
-    in
-    for _ = 1 to step_trials do
-      List.iter
-        (fun (_, engine, steps, best) ->
-          let t0 = Unix.gettimeofday () in
-          let r = H.Pipeline.run ~detect:false ~engine compiled in
-          let dt = Unix.gettimeofday () -. t0 in
-          steps := r.H.Pipeline.steps;
-          let sps = float_of_int r.H.Pipeline.steps /. Float.max dt 1e-9 in
-          if sps > !best then best := sps)
-        acc
-    done;
-    List.map
-      (fun (name, _, steps, best) ->
-        fpf "%8s %12d %14.0f@." name !steps !best;
-        (name, !steps, !best))
-      acc
-  in
-  (match steps_rows with
-  | (_, s0, _) :: rest ->
-      List.iter
-        (fun (name, s, _) ->
-          if s <> s0 then
-            failwith
-              (Printf.sprintf "engines diverged: %d steps (ref) vs %d (%s)" s0
-                 s name))
-        rest
-  | [] -> ());
-  let runs = if quick then 24 else 64 in
-  let campaign_trials = if quick then 1 else 5 in
-  (* One exploration campaign: [runs] pct(d=3) replays with the per-run
-     seeds/quanta the real campaigns use.  [detect:true] is the
-     race-hunting configuration (per-run detector included);
-     [detect:false] is the fingerprint-only pass the happens-before
-     pruning replays run, where the VM is nearly the whole cost. *)
-  let campaign_once ~detect engine =
-    let t0 = Unix.gettimeofday () in
-    for index = 0 to runs - 1 do
-      let sp =
-        E.Strategy.spec (E.Strategy.Pct 3) ~base:compiled.H.Pipeline.config
-          ~pct_horizon:20_000 index
-      in
-      let vm =
-        {
-          (H.Pipeline.vm_config_of compiled.H.Pipeline.config) with
-          Drd_vm.Interp.seed = sp.E.Strategy.sp_seed;
-          quantum = sp.E.Strategy.sp_quantum;
-          policy = sp.E.Strategy.sp_policy;
-        }
-      in
-      ignore (H.Pipeline.run ~vm ~detect ~engine compiled)
-    done;
-    float_of_int runs /. Float.max (Unix.gettimeofday () -. t0) 1e-9
-  in
-  fpf "@.Exploration campaigns (pct(d=3), %d runs, best of %d)@." runs
-    campaign_trials;
-  fpf "%8s %16s %18s@." "engine" "detect runs/s" "fingerprint runs/s";
-  (* Interleaved like the step trials: each round measures detect and
-     fingerprint campaigns for every engine before the next round, so
-     the engine ratios (the numbers the specialization metrics are
-     computed from) are drift-free. *)
-  let campaign_rows =
-    let acc =
-      List.map (fun (name, engine) -> (name, engine, ref 0., ref 0.)) engines
-    in
-    for _ = 1 to campaign_trials do
-      List.iter
-        (fun (_, engine, det, fp) ->
-          let d = campaign_once ~detect:true engine in
-          if d > !det then det := d;
-          let f = campaign_once ~detect:false engine in
-          if f > !fp then fp := f)
-        acc
-    done;
-    List.map
-      (fun (name, _, det, fp) ->
-        fpf "%8s %16.1f %18.1f@." name !det !fp;
-        (name, !det, !fp))
-      acc
-  in
-  let steps_of n =
-    match List.find_opt (fun (n', _, _) -> n' = n) steps_rows with
-    | Some (_, _, sps) -> sps
-    | None -> 0.
-  in
-  let det_of n =
-    match List.find_opt (fun (n', _, _) -> n' = n) campaign_rows with
-    | Some (_, det, _) -> det
-    | None -> 0.
-  in
-  let fp_of n =
-    match List.find_opt (fun (n', _, _) -> n' = n) campaign_rows with
-    | Some (_, _, fp) -> fp
-    | None -> 0.
-  in
-  let steps_speedup = steps_of "linked" /. Float.max (steps_of "ref") 1e-9 in
-  let explore_speedup = det_of "linked" /. Float.max (det_of "ref") 1e-9 in
-  let fp_speedup = fp_of "linked" /. Float.max (fp_of "ref") 1e-9 in
-  (* The specialization payoff: detect-on throughput over the generic
-     linked engine, and how much of the gap between generic detection
-     and the fingerprint-only pass (the detector's whole cost) the fast
-     paths close.  Also measured: the share of events that arrive
-     through specialized trace ops, from one instrumented run. *)
-  let spec_speedup = det_of "specialized" /. Float.max (det_of "linked") 1e-9 in
-  let gap = fp_of "linked" -. det_of "linked" in
-  let gap_closed =
-    if gap > 0. then (det_of "specialized" -. det_of "linked") /. gap else 0.
-  in
-  let coverage =
-    let r = H.Pipeline.run ~engine:`Spec compiled in
-    if r.H.Pipeline.events = 0 then 0.
-    else
-      float_of_int r.H.Pipeline.spec_events
-      /. float_of_int r.H.Pipeline.events
-  in
-  fpf
-    "speedup: %.2fx steps/s, %.2fx explore runs/s (detector on), %.2fx \
-     fingerprint runs/s@."
-    steps_speedup explore_speedup fp_speedup;
-  fpf
-    "specialization: %.2fx detect runs/s over linked, %.0f%% of the \
-     detector-cost gap closed, %.1f%% of events specialized@.@."
-    spec_speedup (100. *. gap_closed) (100. *. coverage);
-  if json then
-    write_json ~file:"BENCH_vm.json" (fun buf ->
-        let bpf fmt = Printf.bprintf buf fmt in
-        bpf "  \"benchmark\": \"tsp\",\n";
-        bpf "  \"step_trials\": %d,\n  \"campaign_runs\": %d,\n" step_trials
-          runs;
-        bpf "  \"engines\": [\n";
-        bpf_elems buf steps_rows (fun buf (name, steps, sps) ->
-            Printf.bprintf buf
-              "    { \"engine\": \"%s\", \"steps\": %d, \"steps_per_sec\": \
-               %.0f, \"explore_runs_per_sec\": %.2f, \
-               \"fingerprint_runs_per_sec\": %.2f }"
-              name steps sps (det_of name) (fp_of name));
-        bpf "  ],\n";
-        bpf "  \"steps_speedup\": %.3f,\n" steps_speedup;
-        bpf "  \"explore_runs_speedup\": %.3f,\n" explore_speedup;
-        bpf "  \"fingerprint_runs_speedup\": %.3f,\n" fp_speedup;
-        bpf "  \"specialized_detect_speedup\": %.3f,\n" spec_speedup;
-        bpf "  \"specialized_gap_closed\": %.3f,\n" gap_closed;
-        bpf "  \"specialized_event_coverage\": %.3f\n" coverage)
-
-(* ------------------------------------------------------------------ *)
-(* Serve-daemon soak: an in-process daemon on a Unix socket, N client
-   domains streaming event logs concurrently.  Each client first runs
-   one identity session — the recorded tsp log, whose report frame must
-   be byte-identical to the one-shot replay (the daemon's eviction
-   watermark is above tsp's location count, so nothing is retired) —
-   then churn sessions cycling through a location space far larger than
-   the watermark, which must keep live locations bounded while evicting
-   freely.  --json writes BENCH_serve.json, the tracked aggregate
-   events/s number. *)
-
-let serve_bench ~quick ~json () =
-  let module W = Drd_explore.Wire in
-  let module SP = Drd_serve.Protocol in
-  let evict_high = 4096 in
-  let clients = 4 in
-  let churn_lines_per_session = 100_000 in
-  let churn_window = 20_000 (* locations per session; >> evict_high *) in
-  let target_per_client = if quick then 250_000 else 2_500_000 in
-  (* The identity payload and its expected report body. *)
-  let b = Option.get (H.Programs.find "tsp") in
-  let compiled = H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_source in
-  let log, _ = H.Pipeline.record_log compiled in
-  let log_blob =
-    let buf = Buffer.create (1 lsl 20) in
-    Event_log.iter
-      (fun e ->
-        Buffer.add_string buf (Event_log.entry_to_line e);
-        Buffer.add_char buf '\n')
-      log;
-    Buffer.contents buf
-  in
-  let expected_body =
-    let coll, stats = H.Pipeline.detect_post_mortem H.Config.full log in
-    SP.events_report_body ~races:(Report.races coll) ~stats ~evictions:0
-  in
-  (* Churn payload: every location is touched by two threads holding a
-     common lock, so tries fill without reporting races (no race-frame
-     backpressure while a client streams without reading). *)
-  let churn_blob =
-    let buf = Buffer.create (1 lsl 22) in
-    for i = 0 to churn_lines_per_session - 1 do
-      let loc = 1 + (i mod churn_window) in
-      let thread = 1 + (i / churn_window mod 2) in
-      let kind = if thread = 1 then 'W' else 'R' in
-      Printf.bprintf buf "A %d %d %c 7 5\n" loc thread kind
-    done;
-    Buffer.contents buf
-  in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "racedet-bench-%d.sock" (Unix.getpid ()))
-  in
-  let conf =
-    {
-      Drd_serve.Server.sv_config = H.Config.full;
-      sv_eviction = Some (Detector.eviction ~high:evict_high ());
-      sv_stats_every = 0.;
-    }
-  in
-  let ready = Atomic.make false in
-  let server =
-    Domain.spawn (fun () ->
-        Drd_serve.Server.serve_socket conf ~path
-          ~ready:(fun () -> Atomic.set ready true)
-          ())
-  in
-  while not (Atomic.get ready) do
-    Domain.cpu_relax ()
-  done;
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-  in
-  (* Read frames until the session's report; returns the raw report
-     body, its eviction count, and daemon-wide live locations from the
-     last stats frame seen on the way (0 if none was requested). *)
-  let read_report ic =
-    let rec go live =
-      let line = input_line ic in
-      match W.json_of_string line with
-      | Error m -> failwith ("serve bench: bad frame: " ^ m)
-      | Ok j -> (
-          match W.member "t" j with
-          | Some (W.String "report") ->
-              let body =
-                (* The raw body substring: everything after the
-                   "report": key up to the frame's closing brace. *)
-                let key = "\"report\":" in
-                let klen = String.length key in
-                let at = ref (-1) in
-                (try
-                   for i = 0 to String.length line - klen do
-                     if String.sub line i klen = key then begin
-                       at := i + klen;
-                       raise Exit
-                     end
-                   done
-                 with Exit -> ());
-                if !at < 0 then failwith "serve bench: report frame malformed";
-                String.sub line !at (String.length line - !at - 1)
-              in
-              let evictions =
-                match W.member "report" j with
-                | Some rep -> (
-                    match W.member "evictions" rep with
-                    | Some (W.Int n) -> n
-                    | _ -> 0)
-                | None -> 0
-              in
-              (body, evictions, live)
-          | Some (W.String "stats") ->
-              let live =
-                match W.member "stats" j with
-                | Some st -> (
-                    match W.member "live_locations" st with
-                    | Some (W.Int n) -> n
-                    | _ -> live)
-                | None -> live
-              in
-              go live
-          | Some (W.String "error") ->
-              failwith ("serve bench: error frame: " ^ line)
-          | _ -> go live)
-    in
-    go 0
-  in
-  (* One client: identity session then churn sessions up to the event
-     budget; returns (events streamed, identity ok, max live, evictions). *)
-  let run_client cid =
-    let _fd, ic, oc = connect () in
-    (* Stats-before-close samples live locations while the session's
-       state is still resident. *)
-    let session ?(stats = false) j payload =
-      output_string oc
-        (SP.control_to_line
-           (SP.Hello
-              {
-                c_session = Printf.sprintf "c%d-s%d" cid j;
-                c_kind = SP.Events;
-                c_config = "";
-              }));
-      output_char oc '\n';
-      output_string oc payload;
-      if stats then begin
-        output_string oc (SP.control_to_line SP.Stats_req);
-        output_char oc '\n'
-      end;
-      output_string oc (SP.control_to_line SP.Close);
-      output_char oc '\n';
-      flush oc;
-      read_report ic
-    in
-    let count_lines s =
-      let n = ref 0 in
-      String.iter (fun c -> if c = '\n' then incr n) s;
-      !n
-    in
-    let body, ev0, _ = session 0 log_blob in
-    let identity_ok = body = expected_body && ev0 = 0 in
-    let events = ref (count_lines log_blob) in
-    let max_live = ref 0 and evictions = ref 0 and sessions = ref 1 in
-    while !events < target_per_client do
-      incr sessions;
-      let _, ev, live = session ~stats:true !sessions churn_blob in
-      events := !events + churn_lines_per_session;
-      if live > !max_live then max_live := live;
-      evictions := !evictions + ev
-    done;
-    close_out oc;
-    (!events, identity_ok, !max_live, !evictions, !sessions)
-  in
-  fpf "Serve-daemon soak (%d clients, ~%d events each, evict-high %d)@."
-    clients target_per_client evict_high;
-  let t0 = Unix.gettimeofday () in
-  let workers = List.init clients (fun i -> Domain.spawn (fun () -> run_client i)) in
-  let results = List.map Domain.join workers in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Final daemon stats, then shutdown. *)
-  let daemon_stats =
-    let _fd, ic, oc = connect () in
-    output_string oc (SP.control_to_line SP.Stats_req);
-    output_char oc '\n';
-    flush oc;
-    let line = input_line ic in
-    output_string oc (SP.control_to_line SP.Shutdown);
-    output_char oc '\n';
-    close_out oc;
-    Result.get_ok (W.json_of_string line)
-  in
-  (match Domain.join server with
-  | Ok () -> ()
-  | Error e -> failwith ("serve bench: server failed: " ^ e));
-  let events_total =
-    List.fold_left (fun acc (e, _, _, _, _) -> acc + e) 0 results
-  in
-  let identity_ok = List.for_all (fun (_, ok, _, _, _) -> ok) results in
-  let max_live =
-    List.fold_left (fun acc (_, _, l, _, _) -> max acc l) 0 results
-  in
-  let evictions_total =
-    List.fold_left (fun acc (_, _, _, ev, _) -> acc + ev) 0 results
-  in
-  let sessions_total =
-    List.fold_left (fun acc (_, _, _, _, s) -> acc + s) 0 results
-  in
-  let eps = float_of_int events_total /. Float.max wall 1e-9 in
-  let heap_words_max =
-    match W.member "stats" daemon_stats with
-    | Some st -> (
-        match W.member "heap_words_max" st with Some (W.Int n) -> n | _ -> 0)
-    | _ -> 0
-  in
-  fpf "  events: %d over %.2fs = %.0f events/s aggregate@." events_total wall
-    eps;
-  fpf
-    "  identity sessions byte-identical: %b; churn: %d sessions, max live \
-     locations %d (bound %d), %d evictions@."
-    identity_ok sessions_total max_live
-    (clients * evict_high)
-    evictions_total;
-  fpf "  daemon heap high-water: %d words@.@." heap_words_max;
-  if not identity_ok then
-    failwith "serve bench: session report differs from one-shot replay";
-  (* Daemon-wide live locations: at most [clients] sessions are open at
-     once, each bounded by the watermark. *)
-  if max_live > clients * evict_high then
-    failwith
-      (Printf.sprintf "serve bench: live locations %d exceed bound %d"
-         max_live (clients * evict_high));
-  if evictions_total = 0 then
-    failwith "serve bench: churn sessions never triggered eviction";
-  if json then
-    write_json ~file:"BENCH_serve.json" (fun buf ->
-        let bpf fmt = Printf.bprintf buf fmt in
-        bpf "  \"clients\": %d,\n" clients;
-        bpf "  \"evict_high\": %d,\n" evict_high;
-        bpf "  \"events_total\": %d,\n" events_total;
-        bpf "  \"sessions_total\": %d,\n" sessions_total;
-        bpf "  \"wall_s\": %.4f,\n" wall;
-        bpf "  \"events_per_sec\": %.0f,\n" eps;
-        bpf "  \"identity_sessions_ok\": %b,\n" identity_ok;
-        bpf "  \"max_live_locations\": %d,\n" max_live;
-        bpf "  \"evictions_total\": %d,\n" evictions_total;
-        bpf "  \"heap_words_max\": %d\n" heap_words_max)
-
-(* ---- the differential detector arena (BENCH_arena.json) ---- *)
-
-let arena_bench ~quick ~json () =
-  let module A = Drd_arena.Arena in
-  let count = if quick then 150 else 1200 in
-  let opts = { A.default_options with A.o_count = count } in
-  fpf "Detector arena (%d generated programs, seed %d)@." count
-    opts.A.o_seed;
-  let t0 = Unix.gettimeofday () in
-  let r = A.run opts in
-  let wall = Unix.gettimeofday () -. t0 in
-  Fmt.pr "%a" A.pp_report r;
-  fpf "wall: %.1fs@.@." wall;
-  if r.A.r_misses <> [] then
-    failwith "arena bench: a detector missed a guaranteed race";
-  if json then
-    write_json ~file:"BENCH_arena.json" (fun buf ->
-        let bpf fmt = Printf.bprintf buf fmt in
-        bpf "  \"seed\": %d,\n" r.A.r_seed;
-        bpf "  \"programs\": %d,\n" r.A.r_count;
-        bpf "  \"max_units\": %d,\n" r.A.r_max_units;
-        bpf "  \"cells\": %d,\n" r.A.r_cells;
-        bpf "  \"wall_s\": %.4f,\n" wall;
-        bpf "  \"detectors\": [\n";
-        bpf_elems buf r.A.r_tallies (fun buf (t : A.tally) ->
-            Printf.bprintf buf
-              "    {\"name\": \"%s\", \"tp\": %d, \"fp\": %d, \"fn\": %d, \
-               \"tn\": %d, \"precision\": %.4f, \"recall\": %.4f, \
-               \"guaranteed_missed\": %d, \"feasible_caught\": %d, \
-               \"feasible_total\": %d, \"unexpected\": %d, \"errors\": %d}"
-              t.A.t_name t.A.t_tp t.A.t_fp t.A.t_fn t.A.t_tn (A.precision t)
-              (A.recall t) t.A.t_guaranteed_missed t.A.t_feasible_caught
-              t.A.t_feasible_total t.A.t_unexpected t.A.t_errors);
-        bpf "  ],\n";
-        bpf "  \"disagreements\": [\n";
-        bpf_elems buf r.A.r_pairs (fun buf (p : A.pair) ->
-            Printf.bprintf buf
-              "    {\"reporter\": \"%s\", \"silent\": \"%s\", \"count\": %d%s}"
-              p.A.pr_reporter p.A.pr_silent p.A.pr_count
-              (match p.A.pr_example with
-              | None -> ""
-              | Some x ->
-                  Printf.sprintf ", \"shrunk_example\": \"%s on %s\""
-                    (Fmt.str "%a" Drd_arena.Gen.pp_spec x.A.x_shrunk
-                    |> String.map (fun c -> if c = '"' then '\'' else c))
-                    x.A.x_marker));
-        bpf "  ]\n")
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let has f = List.mem f args in
-  let all = args = [] || has "--all" in
-  let quick = has "--quick" in
-  if all || has "--figure1" then H.Tables.figure1 ();
-  if all || has "--figure2" then H.Tables.figure2 ();
-  if all || has "--figure3" then H.Tables.figure3 ();
-  if all || has "--table1" then H.Tables.table1 ();
-  if all || has "--table2" then
-    ignore (H.Tables.table2 ~runs:(if quick then 1 else 3) ~perf:(not quick) ());
-  if all || has "--table3" then ignore (H.Tables.table3 ());
-  if all || has "--sor-vs-sor2" then ignore (H.Tables.sor_vs_sor2 ());
-  if all || has "--space" then ignore (H.Tables.space ());
-  if all || has "--join-example" then H.Tables.join_example ();
-  if all || has "--baselines" then ignore (H.Tables.baselines ());
-  if all || has "--ablation" then ablation ();
-  if all || has "--explore" then explore_bench ~quick ~json:(has "--json") ();
-  if all || has "--detector" then detector_bench ~quick ~json:(has "--json") ();
-  if all || has "--vm" then vm_bench ~quick ~json:(has "--json") ();
-  if all || has "--serve" then serve_bench ~quick ~json:(has "--json") ();
-  if all || has "--arena" then arena_bench ~quick ~json:(has "--json") ();
-  if all || has "--micro" then microbench ()
+  let sections = sections ~quick:(List.mem "--quick" args) in
+  let flags = List.map fst sections in
+  if List.exists (fun a -> a <> "--quick" && not (List.mem a flags)) args
+  then begin
+    prerr_endline
+      ("usage: main.exe [--quick] [" ^ String.concat " | " flags ^ "]...");
+    exit 2
+  end;
+  let all = not (List.exists (fun flag -> List.mem flag args) flags) in
+  List.iter
+    (fun (flag, run) -> if all || List.mem flag args then run ())
+    sections

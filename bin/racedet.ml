@@ -211,16 +211,6 @@ let engine_arg =
            reports; $(b,linked) and $(b,ref) exist for cross-checking and \
            benchmarking.")
 
-let no_specialize_arg =
-  Arg.(
-    value & flag
-    & info [ "no-specialize" ]
-        ~doc:
-          "Disable the link-time specialized trace fast paths: run the \
-           $(b,linked) engine even though $(b,specialized) is the default. \
-           Reports are identical either way; this exists for cross-checking \
-           and for timing the generic detector pipeline.")
-
 let site_stats_arg =
   Arg.(
     value & flag
@@ -441,12 +431,9 @@ let site_stats_json compiled (r : H.Pipeline.result) =
       ]
 
 let run_cmd_impl file benchmark config_name detector seed quantum pct
-    pct_horizon engine no_specialize site_stats verbose json =
+    pct_horizon engine site_stats verbose json =
   or_compile_error @@ fun () ->
   or_runtime_error @@ fun () ->
-  let engine : H.Pipeline.engine =
-    if no_specialize && engine = `Spec then `Linked else engine
-  in
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source -> (
@@ -539,8 +526,7 @@ let run_cmd =
       ret
         (const run_cmd_impl $ file_arg $ benchmark_arg $ config_arg
        $ detector_arg $ seed_arg $ quantum_arg $ pct_arg $ pct_horizon_arg
-       $ engine_arg $ no_specialize_arg $ site_stats_arg $ verbose_arg
-       $ json_arg))
+       $ engine_arg $ site_stats_arg $ verbose_arg $ json_arg))
 
 (* ---- analyze ---- *)
 

@@ -372,9 +372,9 @@ let pp_report ppf (r : report) =
         m.ms_example)
     r.r_misses
 
-(* JSON, hand-rolled like bench/main.ml: deterministic key order, no
-   floats beyond fixed precision, byte-identical across runs for a
-   fixed (seed, count, max_units, detectors). *)
+(* JSON, hand-rolled: deterministic key order, no floats beyond fixed
+   precision, byte-identical across runs for a fixed (seed, count,
+   max_units, detectors). *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in

@@ -110,12 +110,6 @@ type report = {
   r_wall : float;  (** Campaign wall clock, worker compiles included. *)
 }
 
-val runs_per_sec : report -> float
-
-val events_per_sec : report -> float
-
-val events_per_sec_per_worker : report -> float
-
 val fingerprint_tap : unit -> Drd_vm.Sink.t * (unit -> int)
 (** The raw order-sensitive interleaving fingerprint: an FNV-1a-style
     hash of the exact event stream.  Shares its constants (and the

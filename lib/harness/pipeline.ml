@@ -33,8 +33,8 @@ type compiled = {
    their fast paths.  [`Linked] runs the same image with the fast paths
    disabled (specialized ops behave exactly like generic ones — the
    sink simply installs no [spec] handler).  [`Ref] is the frozen
-   pre-link block interpreter, kept for the golden byte-identity suite
-   and as the bench baseline. *)
+   pre-link block interpreter, kept as the oracle of the golden
+   byte-identity suite and CI's engine diff. *)
 type engine = [ `Linked | `Ref | `Spec ]
 
 exception Compile_error of string
@@ -231,8 +231,8 @@ let pool_detector (module D : Detector_intf.S) = Pooled ((module D), D.create ()
    allocate per run — VM state, detector, collector, side analyses,
    spec-handler memo tables — created once per (worker, compiled) pair
    and reset at the start of every run that uses it.  Reports from a
-   reused context are byte-identical to fresh-context runs; the tests,
-   the CI diff step and the explore bench all assert this. *)
+   reused context are byte-identical to fresh-context runs; the tests
+   and the CI diff step assert this. *)
 module Run_ctx = struct
   type t = {
     rc_compiled : compiled;
@@ -818,14 +818,10 @@ let run_module ?vm ?(engine = (`Spec : engine))
 
 (* Post-mortem replay of a recorded log through any detector module:
    the generic sibling of {!detect_post_mortem} (which keeps the paper
-   detector's full stats).  [replay_pooled] is the reusable form: the
-   instance is reset up front, so one pooled detector serves any number
-   of replays. *)
-let replay_pooled (p : pooled_detector) (log : Event_log.t) :
+   detector's full stats). *)
+let replay_module (module D : Detector_intf.S) (log : Event_log.t) :
     Event.loc_id list * int =
-  match p with
-  | Pooled ((module D), d) ->
-  D.reset d;
+  let d = D.create () in
   Event_log.iter
     (fun entry ->
       match entry with
@@ -841,10 +837,6 @@ let replay_pooled (p : pooled_detector) (log : Event_log.t) :
       | Event_log.Thread_exit t -> D.on_thread_exit d ~thread:t)
     log;
   (D.racy_locs d, D.events_seen d)
-
-let replay_module (m : (module Detector_intf.S)) (log : Event_log.t) :
-    Event.loc_id list * int =
-  replay_pooled (pool_detector m) log
 
 let names_of (c : compiled) (r : result) : Names.t =
   let names = Names.create () in

@@ -29,8 +29,8 @@ type engine = [ `Linked | `Ref | `Spec ]
     sites taking their fast paths; [`Linked] runs the very same image
     with the fast paths disabled (specialized ops degrade to generic
     ones when the sink installs no [spec] handler); [`Ref] is the frozen
-    pre-link block interpreter ({!Drd_vm.Interp_ref}), kept for the
-    golden byte-identity suite and as the `bench --vm` baseline.  All
+    pre-link block interpreter ({!Drd_vm.Interp_ref}), kept as the
+    oracle of the golden byte-identity suite and CI's engine diff.  All
     three produce bit-identical schedules, event streams and reports;
     only detector-internal statistics may differ under [`Spec]. *)
 
@@ -90,16 +90,6 @@ type result = {
 val vm_config_of : Config.t -> Interp.config
 (** The VM configuration a harness configuration denotes (seed, quantum,
     granularity, pseudo-locks, scheduling policy). *)
-
-type pooled_detector =
-  | Pooled :
-      (module Detector_intf.S with type t = 'a) * 'a
-      -> pooled_detector
-      (** A detector instance packed with its module, so it can be reset
-          and reused across runs without re-allocating. *)
-
-val pool_detector : (module Detector_intf.S) -> pooled_detector
-(** Allocate one instance of a detector module for pooling. *)
 
 (** A resettable per-worker run context: every piece of mutable state a
     {!run} needs — the VM context (heap, thread/monitor tables, PCT
@@ -175,28 +165,6 @@ val detect_post_mortem :
     recorded log.  Produces exactly the online reports for the same
     configuration. *)
 
-val sink_of_module :
-  (module Detector_intf.S with type t = 'a) ->
-  'a ->
-  wrap_access:
-    ((tid:Event.thread_id ->
-     loc:Event.loc_id ->
-     kind:Event.kind ->
-     locks:Lockset_id.id ->
-     site:Event.site_id ->
-     unit) ->
-    tid:Event.thread_id ->
-    loc:Event.loc_id ->
-    kind:Event.kind ->
-    locks:Lockset_id.id ->
-    site:Event.site_id ->
-    unit) ->
-  Drd_vm.Sink.t
-(** The event sink driving one {!Detector_intf.S} instance: every VM
-    callback routed to the matching hook, virtual-call receiver events
-    only when the detector asks for them ([needs_call_events]).
-    [wrap_access] interposes on the access path (event counting). *)
-
 type module_run = {
   m_races : string list;
       (** Decoded racy location names, sorted (one per location). *)
@@ -224,9 +192,4 @@ val replay_module :
   (module Detector_intf.S) -> Event_log.t -> Event.loc_id list * int
 (** Post-mortem replay of a recorded log through any detector module:
     [(racy locations, events seen)].  The generic sibling of
-    {!detect_post_mortem}.  Equivalent to
-    [replay_pooled (pool_detector m) log]. *)
-
-val replay_pooled : pooled_detector -> Event_log.t -> Event.loc_id list * int
-(** Like {!replay_module}, but through a pooled instance that is reset
-    before the replay — one allocation serves any number of logs. *)
+    {!detect_post_mortem}. *)

@@ -15,8 +15,9 @@ module Ir = Drd_ir.Ir
      interpreter against (every report, recorded event log and hb
      fingerprint must match exactly, for every example program and
      scheduling policy);
-   - it is the "before" engine `bench --vm` measures so the speedup in
-     BENCH_vm.json is computed from the same binary and the same run.
+   - it is the reference side of CI's engine diff, which compares
+     `racedet run --engine ref` against the linked and specialized
+     engines end to end.
 
    Do not "fix" or optimize this module: its value is that it does not
    change.  It shares [Interp]'s config/policy/result types and

@@ -6,9 +6,9 @@
 
     Kept for two consumers: the golden byte-identity suite (every
     report, event log and hb fingerprint of {!Interp} must match this
-    engine exactly) and `bench --vm`, which measures both engines in the
-    same process to compute the committed speedup.  Do not modify its
-    semantics.
+    engine exactly) and CI's engine diff, which compares
+    [racedet run --engine ref] with the other engines end to end.  Do
+    not modify its semantics.
 
     Shares {!Interp}'s config/policy/result types and raises
     {!Interp.Runtime_error}, so harness code drives either engine

@@ -213,8 +213,11 @@ let test_deterministic () =
 
 (* ---- corpus-level invariants ---- *)
 
+(* The 200-program seed-42 corpus that CI's arena step scores. *)
+let corpus_opts = { quick_opts with A.o_count = 200 }
+
 let test_corpus_scores () =
-  let r = A.run quick_opts in
+  let r = A.run corpus_opts in
   let t name = List.find (fun t -> t.A.t_name = name) r.A.r_tallies in
   List.iter
     (fun name ->

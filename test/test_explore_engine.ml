@@ -208,9 +208,9 @@ let test_campaign_loop_allocation () =
      row and its sighting strings) instead of the ~150k a fresh-state
      run paid before pooling; pin a ~2x ceiling so a per-run
      allocation regression (a dropped context reuse, per-run taps or
-     buffers growing into per-event ones) fails the suite, not just
-     the bench.  Per-domain counter, so the measuring loop runs on
-     this domain like pool worker 0 does. *)
+     buffers growing into per-event ones) fails the suite.  Per-domain
+     counter, so the measuring loop runs on this domain like pool
+     worker 0 does. *)
   let compiled =
     H.Pipeline.compile H.Config.full ~source:(benchmark_source "tsp")
   in

@@ -1,6 +1,7 @@
 (* The serve daemon: protocol framing, session semantics (byte-identity
    with the one-shot replay, incremental race frames, streaming obs
-   merge), the stdin transport and a Unix-socket smoke test. *)
+   merge), the stdin transport, and the Unix-socket transport from a
+   smoke test up to a concurrent soak with eviction. *)
 
 module H = Drd_harness
 module E = Drd_explore
@@ -389,15 +390,18 @@ let detect_json text =
   Sys.remove file;
   out
 
+let tsp_log_lines () =
+  let b = Option.get (H.Programs.find "tsp") in
+  let compiled = H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_source in
+  let log, _ = H.Pipeline.record_log compiled in
+  log_lines log
+
 (* The recorded tsp log is larger than one 64 KiB read, so sent in
    odd-sized writes its lines straddle reads at every offset; some lines
    end in CRLF.  The report must still be byte-identical to one-shot
    detection of the clean log. *)
 let test_socket_framing () =
-  let b = Option.get (H.Programs.find "tsp") in
-  let compiled = H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_source in
-  let log, _ = H.Pipeline.record_log compiled in
-  let lines = log_lines log in
+  let lines = tsp_log_lines () in
   let clean = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
   Alcotest.(check bool) "log exceeds one read" true (String.length clean > 65536);
   let expected = detect_json clean in
@@ -472,6 +476,109 @@ let test_socket_line_cap () =
   close_out oc2;
   shutdown ()
 
+(* An int field of a frame's [outer] object. *)
+let frame_int frame outer key =
+  match W.json_of_string frame with
+  | Ok j -> (
+      match Option.bind (W.member outer j) (W.member key) with
+      | Some (W.Int n) -> n
+      | _ -> failwith (Printf.sprintf "no %s.%s in %s" outer key frame))
+  | Error m -> failwith ("bad frame: " ^ m)
+
+(* Four clients stream at once into a daemon whose eviction watermark
+   (4096 locations) is above tsp's location count but far below a churn
+   session's.  Each client's tsp session must match one-shot detection
+   and evict nothing; its churn sessions must evict, with daemon-wide
+   live locations at most clients x watermark. *)
+let test_socket_soak () =
+  let clients = 4 and high = 4096 in
+  let churn_lines = 100_000 and churn_window = 20_000 in
+  let events_per_client = 250_000 in
+  let lines = tsp_log_lines () in
+  let log_text = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let expected = detect_json log_text in
+  (* Two threads touch every location under lock 7: the tries fill
+     without races, so no race frame waits on a client still writing. *)
+  let churn =
+    let b = Buffer.create (churn_lines * 16) in
+    for i = 0 to churn_lines - 1 do
+      let thread = 1 + (i / churn_window mod 2) in
+      Printf.bprintf b "A %d %d %c 7 5\n" (1 + (i mod churn_window)) thread
+        (if thread = 1 then 'W' else 'R')
+    done;
+    Buffer.contents b
+  in
+  let conf =
+    {
+      default_conf with
+      S.Server.sv_eviction = Some (Detector.eviction ~high ());
+    }
+  in
+  let connect, shutdown = start_socket_server ~conf () in
+  let client c =
+    let _, ic, oc = connect () in
+    let session j ?(stats = false) payload =
+      let id = Printf.sprintf "c%d-s%d" c j in
+      output_string oc (hello_line id ^ "\n");
+      output_string oc payload;
+      if stats then
+        output_string oc
+          (S.Protocol.control_to_line S.Protocol.Stats_req ^ "\n");
+      output_string oc (S.Protocol.control_to_line S.Protocol.Close ^ "\n");
+      flush oc;
+      (* The stats request precedes the close, so its frame comes first. *)
+      let live =
+        if stats then frame_int (find_frame ic "stats") "stats" "live_locations"
+        else 0
+      in
+      let report = find_frame ic "report" in
+      let prefix =
+        Printf.sprintf
+          "{\"v\":1,\"t\":\"report\",\"session\":\"%s\",\"report\":" id
+      in
+      let pl = String.length prefix in
+      if not (String.starts_with ~prefix report) then failwith report;
+      ( String.sub report pl (String.length report - pl - 1),
+        frame_int report "report" "evictions",
+        live )
+    in
+    let body, ev0, _ = session 0 log_text in
+    let rec churn_sessions j sent live evictions =
+      if sent >= events_per_client then (live, evictions)
+      else
+        let _, ev, l = session j ~stats:true churn in
+        churn_sessions (j + 1) (sent + churn_lines) (max live l)
+          (evictions + ev)
+    in
+    let live, evictions = churn_sessions 1 (List.length lines) 0 0 in
+    close_out oc;
+    (body, ev0, live, evictions)
+  in
+  let results =
+    List.init clients (fun c -> Domain.spawn (fun () -> client c))
+    |> List.map Domain.join
+  in
+  shutdown ();
+  List.iteri
+    (fun c (body, ev0, _, _) ->
+      Alcotest.(check string)
+        (Printf.sprintf "client %d: tsp report equals detect --json" c)
+        expected body;
+      Alcotest.(check int)
+        (Printf.sprintf "client %d: tsp evicts nothing" c)
+        0 ev0)
+    results;
+  let max_live = List.fold_left (fun m (_, _, l, _) -> max m l) 0 results in
+  let evictions = List.fold_left (fun n (_, _, _, e) -> n + e) 0 results in
+  Alcotest.(check bool)
+    (Printf.sprintf "max live locations %d, at most %d" max_live
+       (clients * high))
+    true
+    (max_live <= clients * high);
+  Alcotest.(check bool)
+    (Printf.sprintf "churn evicted (%d evictions)" evictions)
+    true (evictions > 0)
+
 let suite =
   [
     Alcotest.test_case "protocol classify and round-trip" `Quick (fun () ->
@@ -500,4 +607,6 @@ let suite =
       (fun () -> test_socket_framing ());
     Alcotest.test_case "socket line cap drops only the offender" `Quick
       (fun () -> test_socket_line_cap ());
+    Alcotest.test_case "socket soak: concurrent clients, bounded eviction"
+      `Quick (fun () -> test_socket_soak ());
   ]
