@@ -115,16 +115,16 @@ type mir = {
   mir_nparams : int; (* including this for instance methods *)
   mir_entry : label;
   mutable mir_blocks : block array; (* indexed by label *)
-  mutable mir_nregs : int;
+  mir_nregs : int;
+  mir_reg_tys : Ast.ty array;
+      (* static type of every register, [Tvoid] for one nothing writes.
+         Locals never share a slot and temporaries are fresh, so each
+         register has exactly one; [Link] checks every operand against
+         it. *)
   mutable mir_next_iid : int;
 }
 
 let mir_key m = m.mir_key
-
-let fresh_reg m =
-  let r = m.mir_nregs in
-  m.mir_nregs <- m.mir_nregs + 1;
-  r
 
 let fresh_iid m =
   let i = m.mir_next_iid in

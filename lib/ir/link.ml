@@ -26,7 +26,11 @@ open Ir
      unchanged);
    - field and static layout metadata is checked against the typed
      program once, at link time, so the interpreter can trust every
-     [fm_index]/[sm_slot] it executes.
+     [fm_index]/[sm_slot] it executes;
+   - every register operand is checked against its op, by the category
+     of the register's static type (int, boolean or reference), so the
+     interpreter can keep every value as a plain int and read it with
+     no tag test (DESIGN.md §12).
 
    Linking is pure bookkeeping: it never reorders, adds or removes an
    executed step, so schedules, RNG consumption and the event stream
@@ -116,6 +120,7 @@ type lmethod = {
   m_id : int;
   m_key : string; (* "Class.name", for error messages *)
   m_nregs : int;
+  m_reg_tys : Ast.ty array; (* static type per register, to decode prints *)
   m_nparams : int;
   m_entry : int; (* pc of the entry block *)
   m_code : lop array;
@@ -171,7 +176,7 @@ let sorted_classes (tprog : Tast.tprogram) =
 (* ---- layout checking ---- *)
 
 (* [where ()] names the instruction for diagnostics; it is only called
-   on an error. *)
+   on an error.  Both checks return the field's declared type. *)
 let check_field_meta tprog ~where (fm : field_meta) =
   match Tast.find_class tprog fm.fm_class with
   | None -> link_error "%s: field %s.%s on unknown class" (where ()) fm.fm_class fm.fm_name
@@ -183,7 +188,8 @@ let check_field_meta tprog ~where (fm : field_meta) =
       let f = ci.Tast.cls_fields.(fm.fm_index) in
       if f.Tast.fld_name <> fm.fm_name then
         link_error "%s: field index %d of %s is %s, not %s" (where ()) fm.fm_index
-          fm.fm_class f.Tast.fld_name fm.fm_name
+          fm.fm_class f.Tast.fld_name fm.fm_name;
+      f.Tast.fld_ty
 
 let check_static_meta tprog ~where (sm : static_meta) =
   let n = Array.length tprog.Tast.statics in
@@ -193,20 +199,52 @@ let check_static_meta tprog ~where (sm : static_meta) =
   let sf = tprog.Tast.statics.(sm.sm_slot) in
   if sf.Tast.sf_class <> sm.sm_class || sf.Tast.sf_name <> sm.sm_name then
     link_error "%s: static slot %d is %s.%s, not %s.%s" (where ()) sm.sm_slot
-      sf.Tast.sf_class sf.Tast.sf_name sm.sm_class sm.sm_name
+      sf.Tast.sf_class sf.Tast.sf_name sm.sm_class sm.sm_name;
+  sf.Tast.sf_ty
 
-(* Link-time validation that discharges the interpreter's bounds checks:
-   once a method passes, every register operand is inside its register
-   file, every branch target is a valid pc, and every non-terminator has
-   a successor slot, so the hot loop fetches code and registers
-   unchecked ([Array.unsafe_get]). *)
-let validate (m : lmethod) : lmethod =
-  let nregs = m.m_nregs and size = Array.length m.m_code in
-  let reg r =
-    if r < 0 || r >= nregs then
-      link_error "%s: register r%d outside %d registers" m.m_key r nregs
+(* ---- register types ----
+
+   What the VM needs of a register's static type is its category: an
+   int, a boolean and a reference (null included) each live in one
+   plain-int slot, and the interpreter reads a slot with no tag test.
+   So every operand's category is checked against its op here, once;
+   a register nothing writes has no category and no op may read it. *)
+type cat = Kint | Kbool | Kref | Knone
+
+let cat_of_ty = function
+  | Ast.Tint -> Kint
+  | Ast.Tbool -> Kbool
+  | Ast.Tclass _ | Ast.Tarray _ -> Kref
+  | Ast.Tvoid -> Knone
+
+let cat_name = function
+  | Kint -> "int"
+  | Kbool -> "boolean"
+  | Kref -> "reference"
+  | Knone -> "void"
+
+(* A method's parameter categories ([this] first for instance methods)
+   and return category. *)
+type signature = { s_params : cat array; s_ret : cat }
+
+let signature tprog (m : mir) =
+  let ret =
+    match Tast.find_method tprog m.mir_class m.mir_name with
+    | Some tm -> cat_of_ty tm.Tast.tm_ret
+    | None -> link_error "%s: method has no typed declaration" m.mir_key
   in
-  let opt = function Some r -> reg r | None -> () in
+  {
+    s_params = Array.map cat_of_ty (Array.sub m.mir_reg_tys 0 m.mir_nparams);
+    s_ret = ret;
+  }
+
+(* Link-time validation that discharges the interpreter's remaining
+   bounds checks: once a method passes (and [link_mir]'s operand checks,
+   which cover the register file), every branch target is a valid pc
+   and every non-terminator has a successor slot, so the hot loop
+   fetches code and registers unchecked ([Array.unsafe_get]). *)
+let validate (m : lmethod) : lmethod =
+  let size = Array.length m.m_code in
   let target pc =
     if pc < 0 || pc >= size then
       link_error "%s: branch target %d outside %d slots" m.m_key pc size
@@ -214,58 +252,12 @@ let validate (m : lmethod) : lmethod =
   target m.m_entry;
   Array.iteri
     (fun pc op ->
-      (match op with
-      | Lconst (d, _) | Lnewobj (d, _) | Lclassobj (d, _) | Lgetstatic (d, _)
-        ->
-          reg d
-      | Lmove (d, s) | Lunop (_, d, s) ->
-          reg d;
-          reg s
-      | Lbinop (_, d, l, r) ->
-          reg d;
-          reg l;
-          reg r
-      | Lgetfield (d, o, _) ->
-          reg d;
-          reg o
-      | Lputfield (o, _, s) ->
-          reg o;
-          reg s
-      | Lputstatic (_, s) -> reg s
-      | Laload (a, b, c) | Lastore (a, b, c) ->
-          reg a;
-          reg b;
-          reg c
-      | Lnewarr (d, _, dims) ->
-          reg d;
-          List.iter reg dims
-      | Larrlen (d, a) | Lboundscheck (a, d) ->
-          reg d;
-          reg a
-      | Lnullcheck r
-      | Lmonitorenter r
-      | Lmonitorexit r
-      | Lthreadstart r
-      | Lthreadjoin r
-      | Lwait r
-      | Lnotify (r, _)
-      | Ltrace_field (r, _, _, _)
-      | Ltrace_array (r, _, _)
-      | Ltrace_field_spec (r, _, _, _, _)
-      | Ltrace_array_spec (r, _, _, _) ->
-          reg r
-      | Lcall (dst, _, args, _) ->
-          opt dst;
-          Array.iter reg args
-      | Lprint (_, r) | Lret r -> opt r
-      | Lyield | Ltrace_static _ | Ltrace_static_spec _ | Ltrap _ -> ()
-      | Lgoto l -> target l
-      | Lif (c, t, f) ->
-          reg c;
-          target t;
-          target f);
       match op with
-      | Lgoto _ | Lif _ | Lret _ | Ltrap _ -> ()
+      | Lgoto l -> target l
+      | Lif (_, t, f) ->
+          target t;
+          target f
+      | Lret _ | Ltrap _ -> ()
       | _ ->
           if pc + 1 >= size then
             link_error "%s: instruction at pc %d has no successor slot" m.m_key
@@ -275,8 +267,8 @@ let validate (m : lmethod) : lmethod =
 
 (* ---- linking one method ---- *)
 
-let link_mir ~tprog ~method_id ~class_ids ~slot_ids ~cell_of_site (m : mir)
-    : lmethod =
+let link_mir ~tprog ~method_id ~class_ids ~slot_ids ~vtables ~cell_of_site
+    ~sigs (m : mir) : lmethod =
   let key = mir_key m in
   let nblocks = n_blocks m in
   (* First pass: pc of every block (instructions + one terminator slot). *)
@@ -299,70 +291,196 @@ let link_mir ~tprog ~method_id ~class_ids ~slot_ids ~cell_of_site (m : mir)
     | Some id -> id
     | None -> link_error "%s: unknown class %s" key cls
   in
+  (* Operand checks, by source line.  [cat] also bounds the register to
+     the method's register file, so every operand the interpreter reads
+     unchecked passes through it. *)
+  let tys = m.mir_reg_tys in
+  let nregs = Array.length tys in
+  let cat line r =
+    if r < 0 || r >= nregs then
+      link_error "%s:%d: register r%d outside %d registers" key line r nregs;
+    cat_of_ty tys.(r)
+  in
+  let expect line what want r =
+    let c = cat line r in
+    if c <> want || c = Knone then
+      link_error "%s:%d: register type mismatch (%s): r%d is %s, not %s" key
+        line what r (cat_name c) (cat_name want)
+  in
+  let where line () = Printf.sprintf "%s:%d" key line in
+  let field line what fm r =
+    expect line what
+      (cat_of_ty (check_field_meta tprog ~where:(where line) fm))
+      r
+  in
+  let static line what sm r =
+    expect line what
+      (cat_of_ty (check_static_meta tprog ~where:(where line) sm))
+      r
+  in
+  (* The element category of array register [a], which must hold an
+     array. *)
+  let elem line what a =
+    expect line what Kref a;
+    match tys.(a) with
+    | Ast.Tarray t -> cat_of_ty t
+    | t -> link_error "%s:%d: %s on r%d of type %a" key line what a Ast.pp_ty t
+  in
   let link_op (i : instr) : lop =
-    let where () = Printf.sprintf "%s:%d" key i.i_line in
+    let line = i.i_line in
     match i.i_op with
-    | Const (d, c) -> Lconst (d, c)
-    | Move (d, s) -> Lmove (d, s)
-    | Binop (op, d, l, r) -> Lbinop (op, d, l, r)
-    | Unop (op, d, s) -> Lunop (op, d, s)
+    | Const (d, c) ->
+        expect line "const"
+          (match c with Cint _ -> Kint | Cbool _ -> Kbool | Cnull -> Kref)
+          d;
+        Lconst (d, c)
+    | Move (d, s) ->
+        expect line "move" (cat line s) d;
+        Lmove (d, s)
+    | Binop (op, d, l, r) ->
+        (match op with
+        | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod ->
+            expect line "binop" Kint l;
+            expect line "binop" Kint r;
+            expect line "binop" Kint d
+        | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
+            expect line "binop" Kint l;
+            expect line "binop" Kint r;
+            expect line "binop" Kbool d
+        | Ast.Eq | Ast.Ne ->
+            let c = cat line l in
+            expect line "binop" c l;
+            expect line "binop" c r;
+            expect line "binop" Kbool d
+        | Ast.And | Ast.Or ->
+            link_error "%s:%d: && or || not expanded into control flow" key
+              line);
+        Lbinop (op, d, l, r)
+    | Unop (op, d, s) ->
+        let c = match op with Ast.Neg -> Kint | Ast.Not -> Kbool in
+        expect line "unop" c s;
+        expect line "unop" c d;
+        Lunop (op, d, s)
     | GetField (d, o, fm) ->
-        check_field_meta tprog ~where fm;
+        expect line "getfield" Kref o;
+        field line "getfield" fm d;
         Lgetfield (d, o, fm)
     | PutField (o, fm, s) ->
-        check_field_meta tprog ~where fm;
+        expect line "putfield" Kref o;
+        field line "putfield" fm s;
         Lputfield (o, fm, s)
     | GetStatic (d, sm) ->
-        check_static_meta tprog ~where sm;
+        static line "getstatic" sm d;
         Lgetstatic (d, sm)
     | PutStatic (sm, s) ->
-        check_static_meta tprog ~where sm;
+        static line "putstatic" sm s;
         Lputstatic (sm, s)
-    | ALoad (d, a, idx) -> Laload (d, a, idx)
-    | AStore (a, idx, s) -> Lastore (a, idx, s)
-    | NewObj (d, cls) -> Lnewobj (d, class_id cls)
-    | NewArr (d, ty, dims) -> Lnewarr (d, ty, dims)
-    | ArrLen (d, a) -> Larrlen (d, a)
-    | ClassObj (d, cls) -> Lclassobj (d, class_id cls)
-    | NullCheck r -> Lnullcheck r
-    | BoundsCheck (a, idx) -> Lboundscheck (a, idx)
+    | ALoad (d, a, idx) ->
+        expect line "aload" Kint idx;
+        expect line "aload" (elem line "aload" a) d;
+        Laload (d, a, idx)
+    | AStore (a, idx, s) ->
+        expect line "astore" Kint idx;
+        expect line "astore" (elem line "astore" a) s;
+        Lastore (a, idx, s)
+    | NewObj (d, cls) ->
+        expect line "new" Kref d;
+        Lnewobj (d, class_id cls)
+    | NewArr (d, ty, dims) ->
+        expect line "new array" Kref d;
+        List.iter (expect line "array size" Kint) dims;
+        Lnewarr (d, ty, dims)
+    | ArrLen (d, a) ->
+        expect line "length" Kref a;
+        expect line "length" Kint d;
+        Larrlen (d, a)
+    | ClassObj (d, cls) ->
+        expect line "class object" Kref d;
+        Lclassobj (d, class_id cls)
+    | NullCheck r ->
+        expect line "null check" Kref r;
+        Lnullcheck r
+    | BoundsCheck (a, idx) ->
+        expect line "bounds check" Kref a;
+        expect line "bounds check" Kint idx;
+        Lboundscheck (a, idx)
     | Call (dst, target, args, site) ->
-        let lc =
+        (* A virtual call is checked against the method its static
+           receiver class resolves to (that class's vtable row):
+           overrides keep the signature ([Typecheck.check_overrides]),
+           while unrelated classes that share the slot need not. *)
+        let lc, callee =
           match target with
-          | Static (cls, name) -> Lc_method (method_id (cls ^ "." ^ name))
-          | Ctor cls -> Lc_method (method_id (cls ^ ".<init>"))
-          | Virtual (_, name) -> (
-              match Hashtbl.find_opt slot_ids name with
-              | Some slot -> Lc_virtual (slot, name)
-              | None -> link_error "%s: no class implements method %s" key name)
+          | Static (cls, name) ->
+              let id = method_id (cls ^ "." ^ name) in
+              (Lc_method id, id)
+          | Ctor cls ->
+              let id = method_id (cls ^ ".<init>") in
+              (Lc_method id, id)
+          | Virtual (cls, name) -> (
+              let impl =
+                match
+                  (Hashtbl.find_opt slot_ids name, Hashtbl.find_opt class_ids cls)
+                with
+                | Some slot, Some cid -> (slot, vtables.(cid).(slot))
+                | _ -> (-1, -1)
+              in
+              match impl with
+              | slot, id when id >= 0 -> (Lc_virtual (slot, name), id)
+              | _ -> link_error "%s: class %s has no method %s" key cls name)
         in
+        let params = sigs.(callee).s_params in
+        let nargs = List.length args in
+        if nargs <> Array.length params then
+          link_error "%s:%d: call with %d arguments, expected %d" key line nargs
+            (Array.length params);
+        List.iteri (fun k r -> expect line "argument" params.(k) r) args;
+        Option.iter (expect line "call result" sigs.(callee).s_ret) dst;
         Lcall (dst, lc, Array.of_list args, site)
-    | MonitorEnter (r, _) -> Lmonitorenter r
-    | MonitorExit (r, _) -> Lmonitorexit r
-    | ThreadStart r -> Lthreadstart r
-    | ThreadJoin r -> Lthreadjoin r
-    | Wait r -> Lwait r
-    | Notify (r, all) -> Lnotify (r, all)
+    | MonitorEnter (r, _) ->
+        expect line "monitorenter" Kref r;
+        Lmonitorenter r
+    | MonitorExit (r, _) ->
+        expect line "monitorexit" Kref r;
+        Lmonitorexit r
+    | ThreadStart r ->
+        expect line "start" Kref r;
+        Lthreadstart r
+    | ThreadJoin r ->
+        expect line "join" Kref r;
+        Lthreadjoin r
+    | Wait r ->
+        expect line "wait" Kref r;
+        Lwait r
+    | Notify (r, all) ->
+        expect line "notify" Kref r;
+        Lnotify (r, all)
     | Yield -> Lyield
-    | Print (tag, r) -> Lprint (tag, r)
+    | Print (tag, r) ->
+        Option.iter (fun r -> expect line "print" (cat line r) r) r;
+        Lprint (tag, r)
     | Trace t -> (
         let cell = cell_of_site t.tr_site in
         match t.tr_target with
         | Tr_field (o, fm) ->
-            check_field_meta tprog ~where fm;
+            expect line "trace" Kref o;
+            ignore (check_field_meta tprog ~where:(where line) fm : Ast.ty);
             if cell >= 0 then
               Ltrace_field_spec (o, fm.fm_index, t.tr_kind, t.tr_site, cell)
             else Ltrace_field (o, fm.fm_index, t.tr_kind, t.tr_site)
         | Tr_static sm ->
-            check_static_meta tprog ~where sm;
+            ignore (check_static_meta tprog ~where:(where line) sm : Ast.ty);
             if cell >= 0 then
               Ltrace_static_spec (sm.sm_slot, t.tr_kind, t.tr_site, cell)
             else Ltrace_static (sm.sm_slot, t.tr_kind, t.tr_site)
-        | Tr_array (a, _) ->
+        | Tr_array (a, idx) ->
+            expect line "trace" Kref a;
+            expect line "trace" Kint idx;
             if cell >= 0 then
               Ltrace_array_spec (a, t.tr_kind, t.tr_site, cell)
             else Ltrace_array (a, t.tr_kind, t.tr_site))
   in
+  let ret = sigs.(m.mir_id).s_ret in
   for l = 0 to nblocks - 1 do
     let b = block m l in
     let pc = ref block_pc.(l) in
@@ -378,8 +496,12 @@ let link_mir ~tprog ~method_id ~class_ids ~slot_ids ~cell_of_site (m : mir)
     code.(!pc) <-
       (match b.b_term with
       | Goto l' -> Lgoto block_pc.(l')
-      | If (c, t, f) -> Lif (c, block_pc.(t), block_pc.(f))
-      | Ret v -> Lret v
+      | If (c, t, f) ->
+          expect term_line "if" Kbool c;
+          Lif (c, block_pc.(t), block_pc.(f))
+      | Ret v ->
+          Option.iter (expect term_line "return" ret) v;
+          Lret v
       | Trap msg -> Ltrap msg);
     lines.(!pc) <- term_line
   done;
@@ -388,6 +510,7 @@ let link_mir ~tprog ~method_id ~class_ids ~slot_ids ~cell_of_site (m : mir)
       m_id = m.mir_id;
       m_key = key;
       m_nregs = max m.mir_nregs 1;
+      m_reg_tys = tys;
       m_nparams = m.mir_nparams;
       m_entry = block_pc.(m.mir_entry);
       m_code = code;
@@ -474,9 +597,11 @@ let link ?spec (p : program) : image =
         row)
       classes
   in
+  let sigs = Array.map (signature tprog) p.p_mirs in
   let methods =
     Array.map
-      (link_mir ~tprog ~method_id ~class_ids ~slot_ids ~cell_of_site)
+      (link_mir ~tprog ~method_id ~class_ids ~slot_ids ~vtables ~cell_of_site
+         ~sigs)
       p.p_mirs
   in
   {

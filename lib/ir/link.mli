@@ -12,12 +12,15 @@ module Ast = Drd_lang.Ast
 exception Link_error of string
 (** A program that cannot be linked: missing main, a call to a method
     with no body, field/static layout metadata that contradicts the
-    typed program, or a method body that fails the link-time validation
-    pass (a register operand outside the method's register file, a
-    branch target outside its code array, a non-terminator in the last
-    slot).  Validation runs on every linked method and is what lets the
-    interpreter skip bounds checks on register-file and code-array
-    accesses. *)
+    typed program, or a method body that fails link-time validation (a
+    register operand outside the method's register file or of the wrong
+    category for its op — int, boolean or reference, by the register's
+    static type —, a call with the wrong number of arguments, a branch
+    target outside its code array, a non-terminator in the last slot).
+    The message names the method and source line.  Validation runs on
+    every linked method and is what lets the interpreter skip bounds
+    checks on register-file and code-array accesses and keep every
+    value as an unchecked plain int.  No typechecked program fails it. *)
 
 (** Pre-resolved call target. *)
 type lcall =
@@ -109,6 +112,9 @@ type lmethod = {
   m_id : int;
   m_key : string;  (** "Class.name", for error messages. *)
   m_nregs : int;  (** Register file size (≥ 1). *)
+  m_reg_tys : Ast.ty array;
+      (** Static type per register ({!Ir.mir.mir_reg_tys}); the VM
+          decodes a printed value by it. *)
   m_nparams : int;
   m_entry : int;  (** pc of the entry block. *)
   m_code : lop array;

@@ -19,6 +19,7 @@ type ctx = {
   mutable nblocks : int;
   mutable cur : builder_block;
   mutable nregs : int;
+  mutable reg_tys : (reg * Ast.ty) list; (* typed registers, newest first *)
   mutable niids : int;
   mutable nregions : int;
   mutable sync_stack : (reg * int) list; (* (lock reg, region id), innermost first *)
@@ -58,9 +59,13 @@ let emit ctx line op =
   ctx.niids <- ctx.niids + 1;
   ctx.cur.bb_rev_instrs <- i :: ctx.cur.bb_rev_instrs
 
-let fresh ctx =
+let set_ty ctx r ty = ctx.reg_tys <- (r, ty) :: ctx.reg_tys
+
+(* A fresh temporary holding a value of type [ty]. *)
+let fresh ctx ty =
   let r = ctx.nregs in
   ctx.nregs <- ctx.nregs + 1;
+  set_ty ctx r ty;
   r
 
 (* Terminate the current block; if it already has a terminator (dead
@@ -103,15 +108,15 @@ let rec lower_expr ctx (e : texpr) : reg =
   let line = line_of_pos e.tepos in
   match e.te with
   | TInt n ->
-      let d = fresh ctx in
+      let d = fresh ctx Ast.Tint in
       emit ctx line (Const (d, Cint n));
       d
   | TBool v ->
-      let d = fresh ctx in
+      let d = fresh ctx Ast.Tbool in
       emit ctx line (Const (d, Cbool v));
       d
   | TNull ->
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (Const (d, Cnull));
       d
   | TThis -> 0
@@ -119,11 +124,11 @@ let rec lower_expr ctx (e : texpr) : reg =
   | TGetField (o, fi) ->
       let ro = lower_expr ctx o in
       null_check ctx line o ro;
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (GetField (d, ro, fm_of fi));
       d
   | TGetStatic sf ->
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (GetStatic (d, sm_of sf));
       d
   | TIndex (a, i) ->
@@ -131,13 +136,13 @@ let rec lower_expr ctx (e : texpr) : reg =
       let ri = lower_expr ctx i in
       null_check ctx line a ra;
       emit ctx line (BoundsCheck (ra, ri));
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (ALoad (d, ra, ri));
       d
   | TLen a ->
       let ra = lower_expr ctx a in
       null_check ctx line a ra;
-      let d = fresh ctx in
+      let d = fresh ctx Ast.Tint in
       emit ctx line (ArrLen (d, ra));
       d
   | TCall c -> (
@@ -146,11 +151,11 @@ let rec lower_expr ctx (e : texpr) : reg =
       | None ->
           (* void call in expression position cannot happen after
              typechecking, but return a dummy for robustness *)
-          let d = fresh ctx in
+          let d = fresh ctx Ast.Tint in
           emit ctx line (Const (d, Cint 0));
           d)
   | TNew (cname, args) ->
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (NewObj (d, cname));
       (match Tast.find_method ctx.prog cname "<init>" with
       | Some _ ->
@@ -160,7 +165,7 @@ let rec lower_expr ctx (e : texpr) : reg =
       d
   | TNewArray (base, dims) ->
       let rdims = List.map (lower_expr ctx) dims in
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (NewArr (d, base, rdims));
       d
   | TBinop (Ast.And, l, r) -> lower_short_circuit ctx line ~is_and:true l r
@@ -168,17 +173,17 @@ let rec lower_expr ctx (e : texpr) : reg =
   | TBinop (op, l, r) ->
       let rl = lower_expr ctx l in
       let rr = lower_expr ctx r in
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (Binop (op, d, rl, rr));
       d
   | TUnop (op, s) ->
       let rs = lower_expr ctx s in
-      let d = fresh ctx in
+      let d = fresh ctx e.tty in
       emit ctx line (Unop (op, d, rs));
       d
 
 and lower_short_circuit ctx line ~is_and l r =
-  let d = fresh ctx in
+  let d = fresh ctx Ast.Tbool in
   let rl = lower_expr ctx l in
   let b_rhs = new_block ctx in
   let b_skip = new_block ctx in
@@ -202,7 +207,7 @@ and lower_call ctx line (c : tcall) : reg option =
       let rr = lower_expr ctx recv in
       let rargs = List.map (lower_expr ctx) args in
       null_check ctx line recv rr;
-      let dst = if ret = Ast.Tvoid then None else Some (fresh ctx) in
+      let dst = if ret = Ast.Tvoid then None else Some (fresh ctx ret) in
       (* Virtual calls notify [Sink.call] with the receiver; give the
          call site a real id so those notifications (and per-site
          statistics built on them) name the actual source site instead
@@ -223,7 +228,7 @@ and lower_call ctx line (c : tcall) : reg option =
       dst
   | CStatic (cls, name, args, ret) ->
       let rargs = List.map (lower_expr ctx) args in
-      let dst = if ret = Ast.Tvoid then None else Some (fresh ctx) in
+      let dst = if ret = Ast.Tvoid then None else Some (fresh ctx ret) in
       emit ctx line (Call (dst, Static (cls, name), rargs, -1));
       dst
   | CStart recv ->
@@ -272,6 +277,7 @@ let rec lower_stmt ctx (s : tstmt) =
   let line = line_of_pos s.tspos in
   match s.ts with
   | TDecl (slot, ty, init) -> (
+      set_ty ctx slot ty;
       match init with
       | Some e ->
           let r = lower_expr ctx e in
@@ -407,19 +413,25 @@ let lower_method prog sites ~id (m : tmethod) : mir =
       nblocks = 1;
       cur = entry;
       nregs = max m.tm_nslots 1;
+      reg_tys = [];
       niids = 0;
       nregions = 0;
       sync_stack = [];
       loops = [];
     }
   in
+  (* Parameters: [this] first for instance methods, in the typechecker's
+     slot order. *)
+  List.iteri
+    (fun i ty -> set_ty ctx i ty)
+    ((if m.tm_static then [] else [ Ast.Tclass m.tm_class ]) @ m.tm_param_tys);
   let line = line_of_pos m.tm_pos in
   (* Synchronized methods: explicit outermost region on [this] (or the
      class object for static methods). *)
   if m.tm_sync then begin
     let lock =
       if m.tm_static then begin
-        let r = fresh ctx in
+        let r = fresh ctx (Ast.Tclass Ast.object_class) in
         emit ctx line (ClassObj (r, m.tm_class));
         r
       end
@@ -451,6 +463,8 @@ let lower_method prog sites ~id (m : tmethod) : mir =
           })
     ctx.blocks;
   ignore sites;
+  let reg_tys = Array.make ctx.nregs Ast.Tvoid in
+  List.iter (fun (r, ty) -> reg_tys.(r) <- ty) ctx.reg_tys;
   {
     mir_class = m.tm_class;
     mir_name = m.tm_name;
@@ -462,6 +476,7 @@ let lower_method prog sites ~id (m : tmethod) : mir =
     mir_entry = 0;
     mir_blocks = Array.map Option.get blocks;
     mir_nregs = ctx.nregs;
+    mir_reg_tys = reg_tys;
     mir_next_iid = ctx.niids;
   }
 

@@ -23,6 +23,15 @@ open Link
    (dune's default profile compiles with [-opaque], which turns every
    such call into an indirect one).
 
+   Registers, statics, object fields and array elements are plain ints
+   ([Value]'s slot encoding: an int is itself, a boolean 0 or 1, null
+   -1, a reference its heap id), read and written with no tag test and
+   no write barrier.  That is sound because [Link] has checked every
+   operand's category against its op; [Interp_ref] keeps boxed values
+   and checks them at run time, and the golden suite compares the two.
+   Prints are decoded by the printed register's static type, so
+   [r_prints] holds the same [Value.t]s as before.
+
    Semantics are bit-identical to the frozen block interpreter
    ([Interp_ref]): the same schedule, the same RNG draws in the same
    order, the same [Sink] notifications, the same error strings.  The
@@ -49,7 +58,7 @@ open Link
    and detector paths never read that field, so golden identity holds;
    the object-race baseline gets usable sites out of it. *)
 
-exception Runtime_error of string
+exception Runtime_error = Heap.Runtime_error
 
 type policy =
   | Random_walk
@@ -86,11 +95,11 @@ type result = {
 (* All fields but the register file are mutable so returned frames can
    be recycled through the per-context free list ([alloc_frame]): a
    frame is reinitialized field by field on reuse, and its register
-   array — keyed by exact size — is refilled with [Vnull], making a
+   array — keyed by exact size — is refilled with null, making a
    recycled frame indistinguishable from a fresh one. *)
 type frame = {
   mutable f_meth : lmethod;
-  f_regs : Value.t array;
+  f_regs : int array; (* slot-encoded *)
   mutable f_pc : int; (* index into [f_meth.m_code] *)
   mutable f_dst : Ir.reg option; (* caller register receiving the return value *)
 }
@@ -105,6 +114,7 @@ type status =
 type thread = {
   t_id : int;
   mutable t_frames : frame list;
+  mutable t_depth : int; (* length of [t_frames] *)
   mutable t_status : status;
   t_held : (int, int) Hashtbl.t; (* monitor object -> reentrancy count *)
   mutable t_lockset : Lockset_id.id; (* outermost real locks + pseudo *)
@@ -122,6 +132,7 @@ let dummy_thread =
   {
     t_id = -1;
     t_frames = [];
+    t_depth = 0;
     t_status = Finished;
     t_held = Hashtbl.create 1;
     t_lockset = Lockset_id.empty;
@@ -151,7 +162,7 @@ type st = {
          monitor's owner; cleared when a slice starts.  While it is
          clear, the ready set is the one the last decision saw. *)
   heap : Heap.t;
-  globals : Value.t array; (* static field slots *)
+  globals : int array; (* static field slots, slot-encoded *)
   mutable threads : thread array; (* tid -> thread; first [nthreads] live *)
   mutable nthreads : int;
   (* Heap-indexed side tables, grown together on demand: heap ids are
@@ -161,7 +172,7 @@ type st = {
   mutable obj_cls : int array; (* heap id -> class id, or -1 *)
   mutable thread_of_obj : int array; (* heap id -> started tid, or -1 *)
   class_obj_ids : int array; (* class id -> per-class lock heap id, or -1 *)
-  templates : Value.t array array; (* class id -> default field values *)
+  templates : int array array; (* class id -> default field values *)
   mutable ready_buf : int array; (* scratch: ready tids, newest first *)
   frame_pool : frame list array; (* free frames, indexed by register count *)
   pseudo : Pseudo_lock.t;
@@ -172,46 +183,33 @@ type st = {
 
 let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 
-(* Unchecked indexing for the two arrays the linker has already
-   validated ([Link.validate]: every register operand is inside its
-   method's register file, every pc the interpreter can reach is inside
-   [m_code]).  Used ONLY for register files and code fetch — heap-side
-   arrays keep their bounds checks.  Declared at their monomorphic
-   types, so the compiler emits a plain load, and a plain [caml_modify]
-   store, with no float-array test. *)
-external ( .%() ) : Value.t array -> int -> Value.t = "%array_unsafe_get"
+(* Calls nest at most this deep on one thread; the call that would
+   push one more frame fails with a StackOverflowError.  [Interp_ref]
+   checks the same bound at the same point. *)
+let max_call_depth = 10_000
 
-external ( .%()<- ) : Value.t array -> int -> Value.t -> unit
-  = "%array_unsafe_set"
+(* Unchecked indexing for the two arrays the linker has already
+   validated ([Link]: every register operand is inside its method's
+   register file and of its op's category, every pc the interpreter can
+   reach is inside [m_code]).  Used ONLY for register files and code
+   fetch — heap-side arrays keep their bounds checks.  Declared at their
+   monomorphic types, so the compiler emits a plain load and store. *)
+external ( .%() ) : int array -> int -> int = "%array_unsafe_get"
+
+external ( .%()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
 
 external code_at : lop array -> int -> lop = "%array_unsafe_get"
 
-(* Module-local restatements of the [Value], [Heap] and [Memloc]
-   helpers the slice loop uses.  Dune's default profile compiles every
-   library with [-opaque], so a call into another module is an indirect
-   call through its module block and is never inlined; these are direct
-   calls or inlined.  Each must agree with its original exactly — the
-   golden suite diffs every value, location and error against
-   [Interp_ref], which calls the originals. *)
-let[@inline] to_int = function
-  | Value.Vint n -> n
-  | _ -> invalid_arg "expected int"
+let null = Value.null_slot
+let[@inline] of_bool b = Bool.to_int b
 
-let[@inline] to_bool = function
-  | Value.Vbool b -> b
-  | _ -> invalid_arg "expected boolean"
-
-let vtrue = Value.vtrue
-let vfalse = Value.vfalse
-let[@inline] of_bool b = if b then vtrue else vfalse
-let small_ints = Value.small_ints
-let small_min = Value.small_min
-
-let[@inline] of_int n =
-  let i = n - small_min in
-  if i >= 0 && i < Array.length small_ints then Array.unsafe_get small_ints i
-  else Value.Vint n
-
+(* Module-local restatements of the [Heap] and [Memloc] helpers the
+   slice loop uses.  Dune's default profile compiles every library with
+   [-opaque], so a call into another module is an indirect call through
+   its module block and is never inlined; these are direct calls or
+   inlined.  Each must agree with its original exactly — the golden
+   suite diffs every value, location and error against [Interp_ref],
+   which calls the originals. *)
 let[@inline] heap_get (h : Heap.t) id =
   if id < 0 || id >= h.Heap.n then invalid_arg "Heap.get: bad id";
   h.Heap.data.(id)
@@ -259,6 +257,7 @@ let new_thread st frames =
     {
       t_id = tid;
       t_frames = frames;
+      t_depth = List.length frames;
       t_status = Runnable;
       t_held = Hashtbl.create 4;
       t_lockset = Lockset_id.empty;
@@ -298,22 +297,10 @@ let class_obj st cid =
     id
   end
 
-let[@inline] as_ref ~what = function
-  | Value.Vref o -> o
-  | Value.Vnull -> error "NullPointerException (%s)" what
-  | _ -> error "type confusion: expected reference (%s)" what
+let null_error what = error "NullPointerException (%s)" what
 
-(* Structural equality on values without the generic [caml_equal] call;
-   agrees with polymorphic [=] on every [Value.t]. *)
-let value_eq a b =
-  a == b
-  ||
-  match (a, b) with
-  | Value.Vint x, Value.Vint y -> x = y
-  | Value.Vbool x, Value.Vbool y -> x = y
-  | Value.Vref x, Value.Vref y -> x = y
-  | Value.Vnull, Value.Vnull -> true
-  | _ -> false
+(* A reference register's heap id; null is the only negative slot. *)
+let[@inline] as_ref ~what o = if o < 0 then null_error what else o
 
 let[@inline] obj_fields st o =
   match heap_get st.heap o with
@@ -335,19 +322,18 @@ let raw_access st thr ~loc ~kind = emit_access st thr ~loc ~kind ~site:(-1)
 
 (* The call hot path: reuse a returned frame of the exact register
    count when one is free, else allocate.  The refill makes reuse
-   unobservable — registers start [Vnull] either way. *)
+   unobservable — registers start null either way. *)
 let alloc_frame st (m : lmethod) dst =
   let n = m.m_nregs in
   match st.frame_pool.(n) with
   | fr :: tl ->
       st.frame_pool.(n) <- tl;
-      Array.fill fr.f_regs 0 n Value.Vnull;
+      Array.fill fr.f_regs 0 n null;
       fr.f_meth <- m;
       fr.f_pc <- m.m_entry;
       fr.f_dst <- dst;
       fr
-  | [] ->
-      { f_meth = m; f_regs = Array.make n Value.Vnull; f_pc = m.m_entry; f_dst = dst }
+  | [] -> { f_meth = m; f_regs = Array.make n null; f_pc = m.m_entry; f_dst = dst }
 
 let recycle_frame st fr =
   let n = Array.length fr.f_regs in
@@ -359,11 +345,8 @@ let exec_call st thr regs dst target args site =
     match target with
     | Lc_method mid -> mid
     | Lc_virtual (slot, name) ->
-        let recv =
-          match regs.%(args.(0)) with
-          | Value.Vref recv -> recv
-          | v -> as_ref ~what:("call " ^ name) v
-        in
+        let recv = regs.%(args.(0)) in
+        if recv < 0 then null_error ("call " ^ name);
         (match st.sink.Sink.call with
         | Some f -> f ~tid:thr.t_id ~obj:recv ~locks:thr.t_lockset ~site
         | None -> ());
@@ -374,12 +357,15 @@ let exec_call st thr regs dst target args site =
           error "no method %s on class %s" name (Heap.class_of st.heap recv)
         else mid
   in
-  let fr = alloc_frame st st.image.i_methods.(mid) dst in
+  let m = st.image.i_methods.(mid) in
+  if thr.t_depth >= max_call_depth then error "StackOverflowError in %s" m.m_key;
+  let fr = alloc_frame st m dst in
   let nregs = fr.f_regs in
   for k = 0 to Array.length args - 1 do
     nregs.(k) <- regs.%(args.(k))
   done;
-  thr.t_frames <- fr :: thr.t_frames
+  thr.t_frames <- fr :: thr.t_frames;
+  thr.t_depth <- thr.t_depth + 1
 
 (* A plain field access's [all_accesses] event.  The slice loop calls
    this only when [st.cfg.all_accesses] is set or when [index] is past
@@ -404,17 +390,14 @@ let raw_field_access st thr ~obj ~index ~kind =
 let exec_instr st thr frame regs (op : lop) pc : bool =
   match op with
   | Lunop (Ast.Neg, d, s) ->
-      regs.%(d) <- of_int (-to_int regs.%(s));
+      regs.%(d) <- - regs.%(s);
       true
   | Lunop (Ast.Not, d, s) ->
-      regs.%(d) <- of_bool (not (to_bool regs.%(s)));
+      regs.%(d) <- 1 - regs.%(s);
       true
   | Lputfield (o, fm, s) ->
-      let obj =
-        match regs.%(o) with
-        | Value.Vref obj -> obj
-        | v -> as_ref ~what:(fm.Ir.fm_name ^ " store") v
-      in
+      let obj = regs.%(o) in
+      if obj < 0 then null_error (fm.Ir.fm_name ^ " store");
       let index = fm.Ir.fm_index in
       (obj_fields st obj).(index) <- regs.%(s);
       if st.cfg.all_accesses || index >= max_fields then
@@ -429,7 +412,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       true
   | Lastore (a, idx, s) ->
       let arr = as_ref ~what:"array store" regs.%(a) in
-      (arr_elems st arr).(to_int regs.%(idx)) <- regs.%(s);
+      (arr_elems st arr).(regs.%(idx)) <- regs.%(s);
       if st.cfg.all_accesses then
         raw_access st thr
           ~loc:(array_loc ~gran:st.cfg.granularity ~obj:arr)
@@ -437,32 +420,28 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       true
   | Lnewobj (d, cid) ->
       let id =
-        Heap.alloc st.heap
-          (Heap.Obj
-             {
-               cls = st.image.i_classes.(cid);
-               fields = Array.copy st.templates.(cid);
-             })
+        Heap.alloc_obj st.heap ~cls:st.image.i_classes.(cid)
+          st.templates.(cid)
       in
       ensure st id;
       st.obj_cls.(id) <- cid;
-      regs.%(d) <- Value.Vref id;
+      regs.%(d) <- id;
       true
   | Lnewarr (d, elem, dims) ->
-      let ds = List.map (fun r -> to_int regs.%(r)) dims in
+      let ds = List.map (fun r -> regs.%(r)) dims in
       List.iter
         (fun n -> if n < 0 then error "negative array size at line %d" frame.f_meth.m_lines.(pc))
         ds;
       let id = Heap.alloc_arr st.heap elem ds in
       ensure st id;
-      regs.%(d) <- Value.Vref id;
+      regs.%(d) <- id;
       true
   | Larrlen (d, a) ->
       let arr = as_ref ~what:"length" regs.%(a) in
-      regs.%(d) <- of_int (Array.length (arr_elems st arr));
+      regs.%(d) <- Array.length (arr_elems st arr);
       true
   | Lclassobj (d, cid) ->
-      regs.%(d) <- Value.Vref (class_obj st cid);
+      regs.%(d) <- class_obj st cid;
       true
   | Lmonitorenter r -> (
       st.resched <- true;
@@ -515,7 +494,7 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
         error "class %s has no run method" (Heap.class_of st.heap obj);
       let m = st.image.i_methods.(mid) in
       let fr = alloc_frame st m None in
-      fr.f_regs.(0) <- Value.Vref obj;
+      fr.f_regs.(0) <- obj;
       let child = new_thread st [ fr ] in
       st.thread_of_obj.(obj) <- child.t_id;
       st.sink.Sink.thread_start ~parent:thr.t_id ~child:child.t_id;
@@ -601,7 +580,11 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
         woken;
       true
   | Lprint (tag, r) ->
-      let v = Option.map (fun r -> regs.%(r)) r in
+      let v =
+        Option.map
+          (fun r -> Value.of_slot frame.f_meth.m_reg_tys.(r) regs.%(r))
+          r
+      in
       st.prints <- (tag, v) :: st.prints;
       true
   | Ltrace_field (o, index, kind, site) ->
@@ -648,16 +631,16 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       assert false (* run by the slice loop itself *)
 
 let exec_ret st thr frame v =
-  let value = match v with Some r -> Some frame.f_regs.(r) | None -> None in
   thr.t_frames <- List.tl thr.t_frames;
+  thr.t_depth <- thr.t_depth - 1;
   (match thr.t_frames with
   | [] ->
       st.resched <- true;
       thr.t_status <- Finished;
       st.sink.Sink.thread_exit ~tid:thr.t_id
   | caller :: _ -> (
-      match (frame.f_dst, value) with
-      | Some d, Some v -> caller.f_regs.(d) <- v
+      match (frame.f_dst, v) with
+      | Some d, Some r -> caller.f_regs.(d) <- frame.f_regs.(r)
       | Some _, None ->
           error "method %s returned no value" frame.f_meth.m_key
       | None, _ -> ()));
@@ -674,15 +657,6 @@ let ready st t =
   | Blocked obj -> (match (monitor_of st obj).owner with None -> true | Some _ -> false)
   | Joining tid -> (
       match (find_thread st tid).t_status with Finished -> true | _ -> false)
-
-(* The slice loop's register write.  A register often receives the very
-   value it already holds — a loop's constants, a loop-invariant field,
-   a comparison's shared boolean box — and overwriting a field with
-   itself needs no write barrier: the old value stays reachable through
-   it, and a young value there is already in the remembered set.  So
-   the [caml_modify] call is skipped when the two are physically
-   equal. *)
-let[@inline] set_reg regs d v = if regs.%(d) != v then regs.%(d) <- v
 
 (* Run one scheduling slice of up to [quantum] instructions on thread
    [t].  Returns when the slice ends, the thread blocks, yields or
@@ -747,64 +721,61 @@ let run_slice st t quantum ~refill_below =
             end;
             match code_at code !pc with
             | Lgoto l -> pc := l
-            | Lif (c, tl, fl) -> pc := if to_bool regs.%(c) then tl else fl
+            | Lif (c, tl, fl) -> pc := if regs.%(c) <> 0 then tl else fl
             | Lconst (d, Ir.Cint n) ->
-                set_reg regs d (of_int n);
+                regs.%(d) <- n;
                 incr pc;
                 decr budget
             | Lconst (d, Ir.Cbool b) ->
-                set_reg regs d (of_bool b);
+                regs.%(d) <- of_bool b;
                 incr pc;
                 decr budget
             | Lconst (d, Ir.Cnull) ->
-                set_reg regs d Value.Vnull;
+                regs.%(d) <- null;
                 incr pc;
                 decr budget
             | Lmove (d, s) ->
-                set_reg regs d regs.%(s);
+                regs.%(d) <- regs.%(s);
                 incr pc;
                 decr budget
             | Lbinop (op, d, l, r) ->
-                let v =
-                  match op with
-                  | Ast.Add -> of_int (to_int regs.%(l) + to_int regs.%(r))
-                  | Ast.Sub -> of_int (to_int regs.%(l) - to_int regs.%(r))
-                  | Ast.Mul -> of_int (to_int regs.%(l) * to_int regs.%(r))
+                let a = regs.%(l) and b = regs.%(r) in
+                regs.%(d) <-
+                  (match op with
+                  | Ast.Add -> a + b
+                  | Ast.Sub -> a - b
+                  | Ast.Mul -> a * b
                   | Ast.Div | Ast.Mod ->
-                      let a = to_int regs.%(l) and b = to_int regs.%(r) in
                       if b = 0 then
                         error "division by zero at line %d"
                           frame.f_meth.m_lines.(!pc);
-                      of_int (match op with Ast.Div -> a / b | _ -> a mod b)
-                  | Ast.Lt -> of_bool (to_int regs.%(l) < to_int regs.%(r))
-                  | Ast.Le -> of_bool (to_int regs.%(l) <= to_int regs.%(r))
-                  | Ast.Gt -> of_bool (to_int regs.%(l) > to_int regs.%(r))
-                  | Ast.Ge -> of_bool (to_int regs.%(l) >= to_int regs.%(r))
-                  | Ast.Eq -> of_bool (value_eq regs.%(l) regs.%(r))
-                  | Ast.Ne -> of_bool (not (value_eq regs.%(l) regs.%(r)))
+                      (match op with Ast.Div -> a / b | _ -> a mod b)
+                  | Ast.Lt -> of_bool (a < b)
+                  | Ast.Le -> of_bool (a <= b)
+                  | Ast.Gt -> of_bool (a > b)
+                  | Ast.Ge -> of_bool (a >= b)
+                  (* One category on both sides (checked at link), and
+                     the encoding is injective within a category. *)
+                  | Ast.Eq -> of_bool (a = b)
+                  | Ast.Ne -> of_bool (a <> b)
                   | Ast.And | Ast.Or ->
-                      assert false (* expanded into control flow by lowering *)
-                in
-                set_reg regs d v;
+                      assert false (* expanded into control flow by lowering *));
                 incr pc;
                 decr budget
             | Lgetfield (d, o, fm) ->
                 (* The error label is built only on the failure path:
                    [as_ref]'s [~what] argument would otherwise allocate a
                    string per access. *)
-                let obj =
-                  match regs.%(o) with
-                  | Value.Vref obj -> obj
-                  | v -> as_ref ~what:(fm.Ir.fm_name ^ " load") v
-                in
+                let obj = regs.%(o) in
+                if obj < 0 then null_error (fm.Ir.fm_name ^ " load");
                 let index = fm.Ir.fm_index in
-                set_reg regs d (obj_fields st obj).(index);
+                regs.%(d) <- (obj_fields st obj).(index);
                 if st.cfg.all_accesses || index >= max_fields then
                   raw_field_access st t ~obj ~index ~kind:Event.Read;
                 incr pc;
                 decr budget
             | Lgetstatic (d, sm) ->
-                set_reg regs d st.globals.(sm.Ir.sm_slot);
+                regs.%(d) <- st.globals.(sm.Ir.sm_slot);
                 if st.cfg.all_accesses then
                   raw_access st t ~loc:(static_loc ~slot:sm.Ir.sm_slot)
                     ~kind:Event.Read;
@@ -812,7 +783,7 @@ let run_slice st t quantum ~refill_below =
                 decr budget
             | Laload (d, a, idx) ->
                 let arr = as_ref ~what:"array load" regs.%(a) in
-                set_reg regs d (arr_elems st arr).(to_int regs.%(idx));
+                regs.%(d) <- (arr_elems st arr).(regs.%(idx));
                 if st.cfg.all_accesses then
                   raw_access st t
                     ~loc:(array_loc ~gran:st.cfg.granularity ~obj:arr)
@@ -820,17 +791,15 @@ let run_slice st t quantum ~refill_below =
                 incr pc;
                 decr budget
             | Lnullcheck r ->
-                (match regs.%(r) with
-                | Value.Vnull ->
-                    error "NullPointerException at %s line %d"
-                      frame.f_meth.m_key frame.f_meth.m_lines.(!pc)
-                | _ -> ());
+                if regs.%(r) < 0 then
+                  error "NullPointerException at %s line %d" frame.f_meth.m_key
+                    frame.f_meth.m_lines.(!pc);
                 incr pc;
                 decr budget
             | Lboundscheck (a, idx) ->
                 let arr = as_ref ~what:"array access" regs.%(a) in
                 let n = Array.length (arr_elems st arr) in
-                let k = to_int regs.%(idx) in
+                let k = regs.%(idx) in
                 if k < 0 || k >= n then
                   error
                     "ArrayIndexOutOfBoundsException: %d (length %d) at %s \
@@ -885,9 +854,9 @@ let run_slice st t quantum ~refill_below =
    context must grow (and therefore behave) exactly like a fresh one. *)
 type ctx = {
   cx_image : image;
-  cx_templates : Value.t array array; (* class id -> default field values *)
-  cx_globals0 : Value.t array; (* pristine static slots, blitted on reset *)
-  cx_globals : Value.t array;
+  cx_templates : int array array; (* class id -> default field values *)
+  cx_globals0 : int array; (* pristine static slots, blitted on reset *)
+  cx_globals : int array;
   cx_heap : Heap.t;
   cx_pseudo : Pseudo_lock.t;
   cx_class_obj_ids : int array;
@@ -905,18 +874,12 @@ let create_ctx (image : image) : ctx =
   let tprog = image.i_prog.Ir.p_tprog in
   let globals0 =
     Array.map
-      (fun (sf : Tast.sfield_info) -> Value.default_of sf.Tast.sf_ty)
+      (fun (sf : Tast.sfield_info) -> Value.slot_default sf.Tast.sf_ty)
       tprog.Tast.statics
   in
   {
     cx_image = image;
-    cx_templates =
-      Array.map
-        (fun fields ->
-          Array.map
-            (fun (f : Tast.field_info) -> Value.default_of f.Tast.fld_ty)
-            fields)
-        image.i_class_fields;
+    cx_templates = Array.map Heap.template image.i_class_fields;
     cx_globals0 = globals0;
     cx_globals = Array.copy globals0;
     cx_heap = Heap.create ();
@@ -983,7 +946,7 @@ let run_ctx ?(config = default_config) ~sink (cx : ctx) : result =
       ready_buf = cx.cx_ready_buf;
       (* Survives resets on purpose: parked frames carry no state a
          reuse does not overwrite, and their registers are refilled with
-         [Vnull] before handing them out. *)
+         null before handing them out. *)
       frame_pool = cx.cx_frame_pool;
       pseudo = cx.cx_pseudo;
       rng = Random.State.make [| config.seed |];

@@ -3,7 +3,9 @@
     access-event emission at [Trace] pseudo-instructions.  It executes
     the flat {!Link.image} the link phase produces — dense method ids,
     vtable dispatch, integer pcs, array-backed run-time tables — so the
-    hot loop touches no string keys and allocates only frames.
+    hot loop touches no string keys and allocates only frames.  Every
+    value lives in a plain-int slot, unchecked at run time: the link
+    phase has checked every operand's type.
 
     The scheduler interleaves threads at instruction granularity with
     randomized (but seed-deterministic) slice lengths, so a given seed
@@ -20,7 +22,13 @@ exception Runtime_error of string
     division by zero, missing return, double thread start, illegal
     monitor state (wait/notify without owning the monitor), deadlock
     (including every remaining thread stuck in [wait()]), step-limit
-    exhaustion, or an unknown thread id reaching the scheduler. *)
+    exhaustion, an allocation past the heap budget ({!Heap.max_slots}),
+    a call nested deeper than {!max_call_depth}, or an unknown thread id
+    reaching the scheduler. *)
+
+val max_call_depth : int
+(** Frames one thread may hold; the call that would push one more fails
+    with ["StackOverflowError in M"], [M] the called method. *)
 
 (** Pluggable scheduling policy.  Both policies draw every decision from
     the seeded RNG, so a (seed, policy) pair names one schedule exactly

@@ -22,10 +22,19 @@ module Ir = Drd_ir.Ir
    Do not "fix" or optimize this module: its value is that it does not
    change.  It shares [Interp]'s config/policy/result types and
    [Interp.Runtime_error] so harness code can drive either engine
-   through one interface.  The only delta from the frozen source is the
-   [Call] pattern arity (the IR now carries a call-site id, which this
-   engine ignores, still reporting site -1 to [Sink.call] as it always
-   did). *)
+   through one interface.  The deltas from the frozen source:
+
+   - the [Call] pattern arity (the IR now carries a call-site id, which
+     this engine ignores, still reporting site -1 to [Sink.call] as it
+     always did);
+   - [Heap] stores object fields and array elements slot-encoded
+     ([Value.to_slot]) for both engines, so this engine encodes on heap
+     stores and decodes heap loads by the destination register's static
+     type.  Its registers and statics stay boxed [Value.t]s and keep
+     every dynamic type check;
+   - the heap budget ([Heap.max_slots]) and the call-depth bound
+     ([Interp.max_call_depth]), which fail a run identically in both
+     engines. *)
 
 type policy = Interp.policy =
   | Random_walk
@@ -68,6 +77,7 @@ type status =
 type thread = {
   t_id : int;
   mutable t_frames : frame list;
+  mutable t_depth : int; (* length of [t_frames] *)
   mutable t_status : status;
   t_held : (int, int) Hashtbl.t; (* monitor object -> reentrancy count *)
   mutable t_lockset : Lockset_id.id; (* outermost real locks + pseudo *)
@@ -122,6 +132,7 @@ let new_thread st frames =
     {
       t_id = tid;
       t_frames = frames;
+      t_depth = List.length frames;
       t_status = Runnable;
       t_held = Hashtbl.create 4;
       t_lockset = Lockset_id.empty;
@@ -166,6 +177,9 @@ let arr_elems st o =
   match Heap.get st.heap o with
   | Heap.Arr { elems } -> elems
   | _ -> error "type confusion: expected array #%d" o
+
+(* A heap load's value, decoded by the static type of register [d]. *)
+let load frame d slot = Value.of_slot frame.f_mir.mir_reg_tys.(d) slot
 
 let emit_access st thr ~loc ~kind ~site =
   st.sink.Sink.access ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
@@ -233,14 +247,14 @@ let exec_instr st thr frame (i : instr) : bool =
       true
   | GetField (d, o, fm) ->
       let obj = as_ref ~what:(fm.fm_name ^ " load") regs.(o) in
-      regs.(d) <- (obj_fields st obj).(fm.fm_index);
+      regs.(d) <- load frame d (obj_fields st obj).(fm.fm_index);
       raw_access st thr
         ~loc:(Memloc.field ~gran ~obj ~index:fm.fm_index)
         ~kind:Event.Read;
       true
   | PutField (o, fm, s) ->
       let obj = as_ref ~what:(fm.fm_name ^ " store") regs.(o) in
-      (obj_fields st obj).(fm.fm_index) <- regs.(s);
+      (obj_fields st obj).(fm.fm_index) <- Value.to_slot regs.(s);
       raw_access st thr
         ~loc:(Memloc.field ~gran ~obj ~index:fm.fm_index)
         ~kind:Event.Write;
@@ -257,16 +271,19 @@ let exec_instr st thr frame (i : instr) : bool =
       true
   | ALoad (d, a, idx) ->
       let arr = as_ref ~what:"array load" regs.(a) in
-      regs.(d) <- (arr_elems st arr).(Value.to_int regs.(idx));
+      regs.(d) <- load frame d (arr_elems st arr).(Value.to_int regs.(idx));
       raw_access st thr ~loc:(Memloc.array ~gran ~obj:arr) ~kind:Event.Read;
       true
   | AStore (a, idx, s) ->
       let arr = as_ref ~what:"array store" regs.(a) in
-      (arr_elems st arr).(Value.to_int regs.(idx)) <- regs.(s);
+      (arr_elems st arr).(Value.to_int regs.(idx)) <- Value.to_slot regs.(s);
       raw_access st thr ~loc:(Memloc.array ~gran ~obj:arr) ~kind:Event.Write;
       true
   | NewObj (d, cls) ->
-      regs.(d) <- Value.Vref (Heap.alloc_obj st.heap st.prog.p_tprog cls);
+      let ci = Hashtbl.find st.prog.p_tprog.Tast.classes cls in
+      regs.(d) <-
+        Value.Vref
+          (Heap.alloc_obj st.heap ~cls (Heap.template ci.Tast.cls_fields));
       true
   | NewArr (d, elem, dims) ->
       let ds = List.map (fun r -> Value.to_int regs.(r)) dims in
@@ -314,7 +331,10 @@ let exec_instr st thr frame (i : instr) : bool =
             | Some m -> m.Tast.tm_class ^ "." ^ name
             | None -> error "no method %s on class %s" name cls)
       in
+      if thr.t_depth >= Interp.max_call_depth then
+        error "StackOverflowError in %s" key;
       thr.t_frames <- frame_of st key dst argv :: thr.t_frames;
+      thr.t_depth <- thr.t_depth + 1;
       true
   | MonitorEnter (r, _) -> (
       let obj = as_ref ~what:"monitorenter" regs.(r) in
@@ -468,6 +488,7 @@ let exec_term st thr frame =
   | Ret v -> (
       let value = Option.map (fun r -> regs.(r)) v in
       thr.t_frames <- List.tl thr.t_frames;
+      thr.t_depth <- thr.t_depth - 1;
       match thr.t_frames with
       | [] ->
           thr.t_status <- Finished;

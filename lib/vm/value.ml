@@ -19,23 +19,27 @@ let pp ppf = function
 let to_int = function Vint n -> n | _ -> invalid_arg "expected int"
 let to_bool = function Vbool b -> b | _ -> invalid_arg "expected boolean"
 
-(* Allocation-free constructors for the interpreter hot path.  Values
-   are immutable and compared structurally, so sharing the boxes is
-   unobservable; computed ints cluster near zero (loop counters, array
-   indices, small costs), so a small preallocated range absorbs almost
-   every arithmetic result. *)
+(* Slot encoding.  [Interp]'s registers and statics, and the object
+   fields and array elements [Heap] stores for both engines, hold a
+   value as a plain int: an int is itself, a boolean is 0 or 1, null is
+   -1 and a reference is its heap id (never negative).  The encoding
+   forgets the category, which the static type of the register or
+   field restores; [Link] checks every operand against it, so a slot is
+   never read as the wrong kind of value. *)
 
-let vtrue = Vbool true
-let vfalse = Vbool false
-let of_bool b = if b then vtrue else vfalse
+let null_slot = -1
 
-let small_min = -128
-let small_limit = 1024
+let slot_default (ty : Drd_lang.Ast.ty) =
+  match ty with Drd_lang.Ast.Tint | Drd_lang.Ast.Tbool -> 0 | _ -> null_slot
 
-let small_ints =
-  Array.init (small_limit - small_min) (fun i -> Vint (small_min + i))
+let to_slot = function
+  | Vint n -> n
+  | Vbool b -> Bool.to_int b
+  | Vnull -> null_slot
+  | Vref o -> o
 
-let of_int n =
-  if n >= small_min && n < small_limit then
-    Array.unsafe_get small_ints (n - small_min)
-  else Vint n
+let of_slot (ty : Drd_lang.Ast.ty) n =
+  match ty with
+  | Drd_lang.Ast.Tint -> Vint n
+  | Drd_lang.Ast.Tbool -> Vbool (n <> 0)
+  | _ -> if n < 0 then Vnull else Vref n

@@ -26,8 +26,9 @@ let write_file path s =
   close_out oc
 
 (* Run [racedet args], feeding [stdin] if given; return exit code and
-   captured stdout/stderr. *)
-let run ?(stdin = "") args =
+   captured stdout/stderr.  With [vmem_kb], racedet runs in a shell
+   under that address-space ceiling ([ulimit -v]). *)
+let run ?(stdin = "") ?vmem_kb args =
   let in_path = Filename.temp_file "drd_cli_in" ".txt" in
   let out_path = Filename.temp_file "drd_cli_out" ".txt" in
   let err_path = Filename.temp_file "drd_cli_err" ".txt" in
@@ -40,9 +41,16 @@ let run ?(stdin = "") args =
     Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
   in
   let pid =
-    Unix.create_process racedet
-      (Array.of_list (racedet :: args))
-      fd_in fd_out fd_err
+    match vmem_kb with
+    | None ->
+        Unix.create_process racedet
+          (Array.of_list (racedet :: args))
+          fd_in fd_out fd_err
+    | Some kb ->
+        let script = Printf.sprintf "ulimit -v %d && exec \"$0\" \"$@\"" kb in
+        Unix.create_process "/bin/sh"
+          (Array.of_list ("/bin/sh" :: "-c" :: script :: racedet :: args))
+          fd_in fd_out fd_err
   in
   Unix.close fd_in;
   Unix.close fd_out;
@@ -179,6 +187,41 @@ let test_runtime_error_is_exit_124 () =
       expect "record" (run [ "record"; src; "-o"; log ]);
       Alcotest.(check bool) "record: no log written" false (Sys.file_exists log))
 
+let test_resource_limits_are_exit_124 () =
+  (* A program that asks for more heap or call depth than the VM gives
+     fails as a run-time error, exit 124, in every engine.  The
+     address-space ceiling keeps a regression from exhausting the
+     host. *)
+  List.iter
+    (fun (what, source, diagnostic) ->
+      with_source source (fun src ->
+          List.iter
+            (fun engine ->
+              let what = what ^ " --engine " ^ engine in
+              let code, out, err =
+                run ~vmem_kb:4194304 [ "run"; src; "--engine"; engine ]
+              in
+              Alcotest.(check int) (what ^ ": exit 124") 124 code;
+              Alcotest.(check string) (what ^ ": stdout clean") "" out;
+              Alcotest.(check bool)
+                (what ^ ": runtime diagnostic") true
+                (contains err ("racedet: runtime error: " ^ diagnostic)))
+            [ "ref"; "linked"; "specialized" ]))
+    [
+      ( "oversized array",
+        "class Main { static void main() { int[] a = new \
+         int[4611686018427387903]; } }\n",
+        "heap limit exceeded" );
+      ( "nested array",
+        "class Main { static void main() { int n = 1000000; int[][] a = new \
+         int[n][n]; } }\n",
+        "heap limit exceeded" );
+      ( "unbounded recursion",
+        "class Main { static int f(int n) { return f(n + 1); } static void \
+         main() { print(\"r\", f(0)); } }\n",
+        "StackOverflowError in Main.f" );
+    ]
+
 let test_explore_batch_flag () =
   (* --batch is a hand-off granularity knob, never an output knob: any
      batch size gives byte-identical JSON (timing suppressed), and a
@@ -276,4 +319,6 @@ let suite =
       (fun () -> test_int_literal_out_of_range ());
     Alcotest.test_case "runtime error in run/record is exit 124" `Quick
       (fun () -> test_runtime_error_is_exit_124 ());
+    Alcotest.test_case "heap and call-depth limits are exit 124" `Quick
+      (fun () -> test_resource_limits_are_exit_124 ());
   ]

@@ -223,6 +223,34 @@ let prop_aborted_run_no_bleed =
           "seed %d diverges after an aborted run on the shared context" seed;
       true)
 
+let test_vm_allocation_ceiling () =
+  (* The VM keeps every value in a plain-int slot, so a warm run on a
+     reused context allocates little beyond frames, thread records and
+     the events' bookkeeping.  Pin each benchmark at about twice what it
+     measured (minor words per run, default size, detector off: sor2
+     7.6k, mtrt 5.6k, hedc 2.8k) so that boxed values cannot creep back
+     in: boxed [Value.t] slots make the same runs allocate 55k, 38k and
+     17k words. *)
+  List.iter
+    (fun (name, ceiling) ->
+      let compiled =
+        H.Pipeline.compile H.Config.full ~source:(benchmark_source name)
+      in
+      let ctx = H.Pipeline.Run_ctx.create compiled in
+      let run () = ignore (H.Pipeline.run ~ctx ~detect:false compiled) in
+      run ();
+      run ();
+      let n = 8 in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        run ()
+      done;
+      let per_run = (Gc.minor_words () -. before) /. float_of_int n in
+      if per_run > ceiling then
+        Alcotest.failf "%s: %.0f minor words per warm run, ceiling %.0f" name
+          per_run ceiling)
+    [ ("sor2", 16_000.); ("mtrt", 12_000.); ("hedc", 6_000.) ]
+
 let suite =
   [
     Alcotest.test_case "pipeline fresh vs reused matrix" `Quick
@@ -230,4 +258,6 @@ let suite =
     Alcotest.test_case "campaign fresh vs reused matrix" `Quick
       test_campaign_matrix;
     QCheck_alcotest.to_alcotest prop_aborted_run_no_bleed;
+    Alcotest.test_case "warm VM runs stay under the allocation ceiling" `Quick
+      test_vm_allocation_ceiling;
   ]

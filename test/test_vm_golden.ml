@@ -6,7 +6,15 @@
    the happens-before fingerprint — for every example program under
    every scheduling family (sweep, jitter, pct).  A run that dies (e.g.
    needle's seed-dependent wait() deadlock) must die identically: same
-   error string, same event-log prefix. *)
+   error string, same event-log prefix.
+
+   Engines agreeing with each other does not show that their shared
+   semantics held across a change to both.  So every case also renders
+   what its [Interp_ref] runs observed and compares the MD5 with the
+   digest recorded in [vm_identity.txt] (one [<md5> <case name>] line
+   per case).  On a mismatch the test writes the current digests to
+   [_build/default/test/vm_identity.actual]; copy it over only for a
+   change that means to alter VM semantics. *)
 
 module H = Drd_harness
 module Pipeline = H.Pipeline
@@ -98,12 +106,16 @@ let observe ~engine compiled vm : obs =
         }
   | exception Interp.Runtime_error m -> finish { empty with o_error = Some m }
 
+(* Locksets render by content: interned ids depend on what else the
+   process interned first, and the digests must not. *)
 let render_entry = function
   | Event_log.Access e ->
-      Printf.sprintf "A t%d l%d %s s%d L%d" e.Event.thread e.Event.loc
+      Printf.sprintf "A t%d l%d %s s%d L{%s}" e.Event.thread e.Event.loc
         (match e.Event.kind with Event.Read -> "R" | Event.Write -> "W")
         e.Event.site
-        (e.Event.locks :> int)
+        (String.concat ","
+           (List.map string_of_int
+              (Lockset.to_sorted_list (Lockset_id.set_of e.Event.locks))))
   | Event_log.Acquire (t, l) -> Printf.sprintf "acq t%d l%d" t l
   | Event_log.Release (t, l) -> Printf.sprintf "rel t%d l%d" t l
   | Event_log.Thread_start (p, c) -> Printf.sprintf "start %d->%d" p c
@@ -122,6 +134,85 @@ let check_logs name (ref_log : Event_log.entry list) linked_log =
                         (linked)"
           name i (render_entry a) (render_entry b))
     (List.combine ref_log linked_log)
+
+(* ---- digests pinned in vm_identity.txt ---- *)
+
+let digest_file = "vm_identity.txt"
+
+let recorded =
+  lazy
+    (let ic = open_in_bin digest_file in
+     let rec go acc =
+       match input_line ic with
+       | line -> (
+           match String.index_opt line ' ' with
+           | Some i ->
+               go
+                 (( String.sub line (i + 1) (String.length line - i - 1),
+                    String.sub line 0 i )
+                 :: acc)
+           | None -> Alcotest.failf "%s: malformed line %S" digest_file line)
+       | exception End_of_file ->
+           close_in ic;
+           List.rev acc
+     in
+     go [])
+
+(* Digests computed by this process, in case order. *)
+let current : (string * string) list ref = ref []
+
+let write_actual () =
+  let want = Lazy.force recorded in
+  let oc = open_out_bin "vm_identity.actual" in
+  List.iter
+    (fun (case, md5) ->
+      let md5 = Option.value (List.assoc_opt case !current) ~default:md5 in
+      Printf.fprintf oc "%s %s\n" md5 case)
+    want;
+  List.iter
+    (fun (case, md5) ->
+      if not (List.mem_assoc case want) then
+        Printf.fprintf oc "%s %s\n" md5 case)
+    (List.rev !current);
+  close_out oc
+
+(* Run [f] with a buffer for the case's reference observations, then
+   check their digest against the recorded one. *)
+let pinned case f =
+  let buf = Buffer.create 65536 in
+  f buf;
+  let md5 = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  current := (case, md5) :: List.remove_assoc case !current;
+  match List.assoc_opt case (Lazy.force recorded) with
+  | Some m when m = md5 -> ()
+  | recorded_md5 ->
+      write_actual ();
+      Alcotest.failf
+        "%s: reference observations digest %s, recorded %s (current digests \
+         in vm_identity.actual)"
+        case md5
+        (Option.value recorded_md5 ~default:"nothing")
+
+let render_prints buf prints =
+  List.iter
+    (fun (tag, v) ->
+      Printf.bprintf buf "print %s=%s\n" tag
+        (match v with Some v -> Fmt.str "%a" Value.pp v | None -> "()"))
+    prints
+
+let render_log buf log =
+  List.iter (fun e -> Printf.bprintf buf "%s\n" (render_entry e)) log
+
+let render_obs buf label (o : obs) =
+  Printf.bprintf buf "run %s\nerror %s\n" label
+    (Option.value o.o_error ~default:"-");
+  List.iter (Printf.bprintf buf "race %s\n") o.o_races;
+  List.iter (Printf.bprintf buf "object %s\n") o.o_objects;
+  Printf.bprintf buf "events %d steps %d threads %d\n" o.o_events o.o_steps
+    o.o_threads;
+  render_prints buf o.o_prints;
+  render_log buf o.o_log;
+  Printf.bprintf buf "fp %d hb %d\n" o.o_interleave_fp o.o_hb_fp
 
 let check_obs name (a : obs) (b : obs) =
   Alcotest.(check (option string)) (name ^ " error") a.o_error b.o_error;
@@ -168,8 +259,9 @@ let vm_of compiled (sp : Strategy.run_spec) =
 
 let runs_per_strategy = 3
 
-let test_identity name source strategy () =
+let test_identity ~case name source strategy () =
   let compiled = compiled_of name source in
+  pinned case @@ fun buf ->
   for index = 0 to runs_per_strategy - 1 do
     let sp =
       Strategy.spec strategy ~base:compiled.Pipeline.config
@@ -178,6 +270,7 @@ let test_identity name source strategy () =
     let vm = vm_of compiled sp in
     let label = Printf.sprintf "%s %s #%d" name (Strategy.name strategy) index in
     let a = observe ~engine:`Ref compiled vm in
+    render_obs buf label a;
     let b = observe ~engine:`Linked compiled vm in
     check_obs label a b;
     (* The specialized engine's fast paths must be invisible through
@@ -187,11 +280,16 @@ let test_identity name source strategy () =
     check_obs (label ^ " [spec]") a c
   done
 
-let test_record_log name source () =
+let test_record_log ~case name source () =
   (* The post-mortem recording path proper (not just its sink as a tap)
      must also be engine-independent. *)
   let compiled = compiled_of name source in
+  pinned case @@ fun buf ->
   let log_ref, r_ref = Pipeline.record_log ~engine:`Ref compiled in
+  render_log buf (Event_log.entries log_ref);
+  Printf.bprintf buf "steps %d threads %d\n" r_ref.Interp.r_steps
+    r_ref.Interp.r_max_threads;
+  render_prints buf r_ref.Interp.r_prints;
   let log_lin, r_lin = Pipeline.record_log ~engine:`Linked compiled in
   check_logs (name ^ " record_log") (Event_log.entries log_ref)
     (Event_log.entries log_lin);
@@ -220,7 +318,8 @@ let generated =
         Drd_arena.Gen.emit sp ))
     (Drd_arena.Gen.generate ~seed:7 ~count:40 ())
 
-let test_pct_grid programs () =
+let test_pct_grid ~case programs () =
+  pinned case @@ fun buf ->
   List.iter
     (fun (name, source) ->
       let compiled = compiled_of name source in
@@ -249,6 +348,7 @@ let test_pct_grid programs () =
                       quantum seed
                   in
                   let a = observe ~engine:`Ref compiled vm in
+                  render_obs buf label a;
                   check_obs label a (observe ~engine:`Linked compiled vm);
                   check_obs (label ^ " [spec]") a
                     (observe ~engine:`Spec compiled vm))
@@ -265,23 +365,22 @@ let suite =
     (fun (name, source) ->
       List.map
         (fun strategy ->
-          Alcotest.test_case
-            (Printf.sprintf "%s x %s byte-identical" name
-               (Strategy.name strategy))
-            `Quick
-            (test_identity name source strategy))
+          let case =
+            Printf.sprintf "%s x %s byte-identical" name
+              (Strategy.name strategy)
+          in
+          Alcotest.test_case case `Quick
+            (test_identity ~case name source strategy))
         strategies
-      @ [
-          Alcotest.test_case
-            (name ^ " record_log byte-identical")
-            `Quick (test_record_log name source);
-          Alcotest.test_case
-            (name ^ " x pct grid byte-identical")
-            `Quick
-            (test_pct_grid [ (name, source) ]);
-        ])
+      @ (let case = name ^ " record_log byte-identical" in
+         [ Alcotest.test_case case `Quick (test_record_log ~case name source) ])
+      @
+      let case = name ^ " x pct grid byte-identical" in
+      [
+        Alcotest.test_case case `Quick
+          (test_pct_grid ~case [ (name, source) ]);
+      ])
     sources
-  @ [
-      Alcotest.test_case "generated (seed 7) x pct grid byte-identical" `Quick
-        (test_pct_grid generated);
-    ]
+  @
+  let case = "generated (seed 7) x pct grid byte-identical" in
+  [ Alcotest.test_case case `Quick (test_pct_grid ~case generated) ]
