@@ -65,11 +65,14 @@ let events_per_sec_per_worker r =
    of the event stream (thread, location, kind per access, plus lock and
    lifecycle transitions).  Two runs with the same fingerprint consumed
    the same detector-visible schedule.  The constants — and the 46-bit
-   wire-int-safety rationale for the mask — live in Hb_fingerprint,
-   shared with the happens-before tap. *)
+   wire-int-safety rationale for the mask — live in Sink, shared with
+   the happens-before tap.  This tap is the reference definition: a
+   campaign reads the same value from [Pipeline.result.fingerprint],
+   which every run folds itself, and the golden suite checks the two
+   agree. *)
 let fingerprint_tap () =
-  let fp = ref Hb_fingerprint.fnv_offset in
-  let mixin v = fp := Hb_fingerprint.mix !fp v in
+  let fp = ref Sink.fnv_offset in
+  let mixin v = fp := Sink.mix !fp v in
   let tap =
     {
       Sink.null with
@@ -142,8 +145,7 @@ let vm_of (c : Pipeline.compiled) (sp : Strategy.run_spec) =
 let observe_run ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) :
     Aggregate.run_obs =
   let vm = vm_of c sp in
-  let tap, fp = fingerprint_tap () in
-  let r = Pipeline.run ?ctx ~vm ~tap c in
+  let r = Pipeline.run ?ctx ~vm c in
   {
     Aggregate.o_index = sp.Strategy.sp_index;
     o_seed = sp.Strategy.sp_seed;
@@ -151,7 +153,7 @@ let observe_run ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) :
     o_repro = Strategy.repro_flags sp;
     o_sightings = sightings_of c r;
     o_objects = r.Pipeline.racy_objects;
-    o_fingerprint = fp ();
+    o_fingerprint = r.Pipeline.fingerprint;
     o_hb_fingerprint = None;
     o_events = r.Pipeline.events;
     o_steps = r.Pipeline.steps;
@@ -209,11 +211,8 @@ let seen_sync journal seen =
 let observe_run_hb ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) ~seen :
     Aggregate.run_obs =
   let vm = vm_of c sp in
-  let raw_tap, raw_fp = fingerprint_tap () in
   let hb_tap, hb_fp = Hb_fingerprint.tap () in
-  let r1 =
-    Pipeline.run ?ctx ~vm ~tap:(Sink.tee raw_tap hb_tap) ~detect:false c
-  in
+  let r1 = Pipeline.run ?ctx ~vm ~tap:hb_tap ~detect:false c in
   let hb = hb_fp () in
   let sightings, objects, wall =
     match Hashtbl.find_opt seen.sn_tbl hb with
@@ -233,7 +232,7 @@ let observe_run_hb ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) ~seen :
     o_repro = Strategy.repro_flags sp;
     o_sightings = sightings;
     o_objects = objects;
-    o_fingerprint = raw_fp ();
+    o_fingerprint = r1.Pipeline.fingerprint;
     o_hb_fingerprint = Some hb;
     o_events = r1.Pipeline.events;
     o_steps = r1.Pipeline.steps;

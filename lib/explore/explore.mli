@@ -113,8 +113,10 @@ type report = {
 val fingerprint_tap : unit -> Drd_vm.Sink.t * (unit -> int)
 (** The raw order-sensitive interleaving fingerprint: an FNV-1a-style
     hash of the exact event stream.  Shares its constants (and the
-    46-bit mask rationale) with {!Hb_fingerprint}.  Exposed for
-    tests. *)
+    46-bit mask rationale) with {!Hb_fingerprint}.  The reference
+    definition of [Pipeline.result.fingerprint], which every run folds
+    itself, so a campaign attaches no tap for it.  Exposed for tests
+    and benchmarks. *)
 
 val observe_run :
   ?ctx:Drd_harness.Pipeline.Run_ctx.t ->

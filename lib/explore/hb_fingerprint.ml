@@ -1,14 +1,15 @@
 (* Happens-before interleaving fingerprints (partial-order reduction).
 
-   The raw fingerprint in Explore hashes the exact event order, so two
-   schedules that differ only by commuting independent events — accesses
-   by different threads to different locations, with no synchronization
-   between them — count as distinct and both pay full detector replay.
-   This tap instead maintains per-thread vector clocks over the sync
-   edges the detector can observe (lock release→acquire, thread
-   start/join) plus per-location access ordering, and folds each access
-   as a commutative (order-insensitive) hash of its
-   (location, kind, thread, clock-snapshot).
+   The raw fingerprint ([Pipeline.result.fingerprint], reference
+   definition [Explore.fingerprint_tap]) hashes the exact event order,
+   so two schedules that differ only by commuting independent events —
+   accesses by different threads to different locations, with no
+   synchronization between them — count as distinct and both pay full
+   detector replay.  This tap instead maintains per-thread vector
+   clocks over the sync edges the detector can observe (lock
+   release→acquire, thread start/join) plus per-location access
+   ordering, and folds each access as a commutative (order-insensitive)
+   hash of its (location, kind, thread, clock-snapshot).
 
    Two runs then get equal fingerprints iff every access has the same
    causal past — i.e. they induce the same happens-before order on
@@ -24,19 +25,19 @@
 
 open Drd_core
 
-(* ---- the FNV-1a constants shared by both fingerprint taps ----
+(* ---- the FNV-1a step, shared with the raw fingerprint ----
 
-   [mask] truncates to 46 bits: fingerprints cross the shard wire as
-   JSON integers, and 46 bits keeps them exactly representable both in
-   OCaml's 63-bit ints and in the IEEE doubles any off-the-shelf JSON
-   consumer parses numbers into (< 2^53), with headroom for the
-   commutative sum fold below.  The raw order-sensitive tap
-   (Explore.fingerprint_tap) uses the same constants. *)
+   The constants are defined once in Drd_vm.Sink (with the 46-bit
+   wire-int rationale for the mask) and re-exported here.  [mix] is
+   [Sink.mix] restated module-locally: under [-opaque] a call to
+   [Sink.mix] could not be inlined into the clock loops below (DESIGN
+   §12(b)).  The pinned fingerprints in [test_hb_fingerprint.ml] hold
+   the two to the same values. *)
 
-let fnv_offset = 0x811C9DC5
-let fnv_prime = 0x01000193
-let mask = 0x3FFFFFFFFFFF
-let mix fp v = ((fp lxor v) * fnv_prime) land mask
+let fnv_offset = Drd_vm.Sink.fnv_offset
+let fnv_prime = Drd_vm.Sink.fnv_prime
+let mask = Drd_vm.Sink.mask
+let[@inline] mix fp v = ((fp lxor v) * fnv_prime) land mask
 
 let kind_code = function Event.Read -> 17 | Event.Write -> 23
 

@@ -20,8 +20,10 @@
 
 (** {1 Shared FNV-1a constants}
 
-    Used by both this tap and the raw order-sensitive
-    {!Explore.fingerprint_tap}.  [mask] truncates to 46 bits so
+    Re-exported from {!Drd_vm.Sink}, where they are defined once for
+    this tap and for the raw order-sensitive fingerprint that
+    [Pipeline.run] computes (reference definition:
+    {!Explore.fingerprint_tap}).  [mask] truncates to 46 bits so
     fingerprints survive the shard wire as exact JSON integers: well
     under the 2^53 limit of the IEEE doubles that off-the-shelf JSON
     consumers parse numbers into, with headroom for the commutative sum
@@ -38,5 +40,5 @@ val mix : int -> int -> int
 val tap : unit -> Drd_vm.Sink.t * (unit -> int)
 (** [tap ()] is a fresh happens-before fingerprint tap and a function
     returning the fingerprint folded so far.  Feed it a whole run
-    (typically via {!Drd_vm.Sink.tee} next to the raw tap) and read the
-    fingerprint at the end. *)
+    (typically as [Pipeline.run]'s [?tap], which folds the raw
+    fingerprint itself) and read the fingerprint at the end. *)

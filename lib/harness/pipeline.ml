@@ -144,7 +144,30 @@ type result = {
          [`Spec] engine ran an image with specialized sites) *)
   site_stats : (int array * int array) option;
       (* per-site (events, fast-path drops), only under [~site_stats] *)
+  fingerprint : int;
+      (* the raw schedule fingerprint of the run: what
+         [Explore.fingerprint_tap] folds, computed by every run *)
 }
+
+(* ---- the raw schedule fingerprint, folded by the run itself ----
+
+   The same stream, constants and order as [Explore.fingerprint_tap]
+   (the reference definition): thread, location and kind per access,
+   thread and lock per acquire and release, parent and child per thread
+   start.  {!run} folds it inside the closures it already builds — the
+   event counter, the spec handler, the sync callbacks — so a campaign
+   needs no tap layer for it.  [mix] restates [Sink.mix] module-locally
+   so those closures inline it (the [-opaque] rule, DESIGN §12(b)); the
+   golden suite checks the result against the tap on every run. *)
+
+let[@inline] mix fp v = ((fp lxor v) * Sink.fnv_prime) land Sink.mask
+
+let[@inline] fp_access fp ~tid ~loc ~kind =
+  mix (mix (mix fp tid) loc) (match kind with Event.Read -> 17 | Event.Write -> 23)
+
+let[@inline] fp_acquire fp ~tid ~lock = mix (mix fp (tid + 101)) lock
+let[@inline] fp_release fp ~tid ~lock = mix (mix fp (tid + 211)) lock
+let[@inline] fp_start fp ~parent ~child = mix fp ((parent * 31) + child)
 
 (* Group a location id to the identity Table 3 counts: the object (for
    instance fields and arrays) or the static field itself. *)
@@ -168,16 +191,26 @@ let vm_config_of (config : Config.t) =
    callback routed to the matching hook (unused hooks are no-ops by the
    interface contract), virtual-call receiver events only when the
    detector asks for them.  [wrap_access] lets the caller interpose on
-   the access path (event counting, site stats). *)
+   the access path (event counting, site stats); the sync callbacks fold
+   the raw fingerprint into [fp]. *)
 let sink_of_module (type a) (module D : Detector_intf.S with type t = a)
-    (d : a) ~wrap_access =
+    (d : a) ~wrap_access ~(fp : int ref) =
   {
     Sink.access =
       wrap_access (fun ~tid ~loc ~kind ~locks ~site ->
           D.on_access_interned d ~loc ~thread:tid ~locks ~kind ~site);
-    acquire = (fun ~tid ~lock -> D.on_acquire d ~thread:tid ~lock);
-    release = (fun ~tid ~lock -> D.on_release d ~thread:tid ~lock);
-    thread_start = (fun ~parent ~child -> D.on_thread_start d ~parent ~child);
+    acquire =
+      (fun ~tid ~lock ->
+        fp := fp_acquire !fp ~tid ~lock;
+        D.on_acquire d ~thread:tid ~lock);
+    release =
+      (fun ~tid ~lock ->
+        fp := fp_release !fp ~tid ~lock;
+        D.on_release d ~thread:tid ~lock);
+    thread_start =
+      (fun ~parent ~child ->
+        fp := fp_start !fp ~parent ~child;
+        D.on_thread_start d ~parent ~child);
     thread_join = (fun ~joiner ~joinee -> D.on_thread_join d ~joiner ~joinee);
     thread_exit = (fun ~tid -> D.on_thread_exit d ~thread:tid);
     call =
@@ -196,6 +229,38 @@ let sink_of_module (type a) (module D : Detector_intf.S with type t = a)
    sizing note there); pooled so a campaign refills them instead of
    reallocating ~135k words per run. *)
 let memo_bits = 13
+
+(* A memo key's slot: the top [memo_bits] bits of its product with
+   2^63/φ (Fibonacci hashing).  Bit i of a product depends only on bits
+   0..i of the key, so only the top bits depend on all of it.  A slot
+   taken from lower bits (say bits 11–23) would see only the thread and
+   lockset id, which sit at the bottom of a memo key, and every location
+   a thread touches under one lockset would share one slot.  Keys are
+   compared exactly, so the slot only decides which keys a table
+   keeps. *)
+let[@inline] memo_slot key = (key * 0x4F1BBCDCBFA53E0B) lsr (63 - memo_bits)
+
+let[@inline] kind_bit = function Event.Write -> 1 | Event.Read -> 0
+
+(* A key is built only while its packing is injective, every field in
+   range: a location of 2^31 or more (a field of an object with heap id
+   2^20 or more) would wrap the memo key onto another location's, and
+   the exact-compare probe would drop an event for one the detector saw.
+   An event that does not pack gets -1, which no probe matches, and
+   stays on the exact generic path. *)
+
+(* (loc, kind, lockset id, thread), for the Sfixed reached-event memo. *)
+let[@inline] memo_key ~tid ~loc ~kind ~locks =
+  if loc < 1 lsl 31 && locks < 1 lsl 20 && tid < 1 lsl 10 then
+    (loc lsl 31) lor (kind_bit kind lsl 30) lor (locks lsl 10) lor tid
+  else -1
+
+(* (loc, kind, thread), what the detector's per-thread cache keys on,
+   for the cache mirror. *)
+let[@inline] mirror_key ~tid ~loc ~kind =
+  if loc < 1 lsl 51 && tid < 1 lsl 10 then
+    (loc lsl 11) lor (kind_bit kind lsl 10) lor tid
+  else -1
 
 type spec_state = {
   ss_memo : int array; (* Sfixed reached-event memo *)
@@ -304,8 +369,10 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     | Some a when site >= 0 && site < Array.length a -> a.(site) <- a.(site) + 1
     | _ -> ()
   in
+  let fp = ref Sink.fnv_offset in
   let count f = fun ~tid ~loc ~kind ~locks ~site ->
     incr events;
+    fp := fp_access !fp ~tid ~loc ~kind;
     bump site_ev site;
     f ~tid ~loc ~kind ~locks ~site
   in
@@ -330,14 +397,20 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     (* [detect = false] runs the same instrumented program (so the
        schedule is identical — NoDetect compiles without traces and
        would perturb it) but drops the detector work; only the event
-       counter remains.  The exploration engine uses this for
-       fingerprint-only passes. *)
-    if not detect then
-      { Sink.null with Sink.access = count (fun ~tid:_ ~loc:_ ~kind:_ ~locks:_ ~site:_ -> ()) }
-    else
-    match config.Config.detector with
-    | Config.NoDetect -> Sink.null
-    | Config.Ours ->
+       counter and the fingerprint remain.  The exploration engine uses
+       this for fingerprint-only passes.  NoDetect gets the same sink:
+       it has no traces to count, but its sync events still fold. *)
+    match (detect, config.Config.detector) with
+    | false, _ | true, Config.NoDetect ->
+        {
+          Sink.null with
+          Sink.access = count (fun ~tid:_ ~loc:_ ~kind:_ ~locks:_ ~site:_ -> ());
+          acquire = (fun ~tid ~lock -> fp := fp_acquire !fp ~tid ~lock);
+          release = (fun ~tid ~lock -> fp := fp_release !fp ~tid ~lock);
+          thread_start =
+            (fun ~parent ~child -> fp := fp_start !fp ~parent ~child);
+        }
+    | true, Config.Ours ->
         let det =
           match ctx with
           | Some { Run_ctx.rc_det = Some det; _ } ->
@@ -389,17 +462,6 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                 | _ -> make_spec_state sp
               in
               let memo = ss.ss_memo in
-              let memo_idx key =
-                (key * 0x9E3779B1) lsr 11 land ((1 lsl memo_bits) - 1)
-              in
-              let pack ~tid ~loc ~kind ~locks =
-                if locks < 1 lsl 20 && tid < 1 lsl 10 then
-                  (loc lsl 31)
-                  lor ((match kind with Event.Write -> 1 | Event.Read -> 0)
-                      lsl 30)
-                  lor (locks lsl 10) lor tid
-                else -1
-              in
               (* Sro: whether the cell's first event was forwarded. *)
               let ro_seen = ss.ss_ro_seen in
               (* The shared location-owner map of the managed cells:
@@ -425,7 +487,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                     ~kind ~site
                 with
                 | Detector.Reached ->
-                    if key >= 0 then memo.(memo_idx key) <- key
+                    if key >= 0 then memo.(memo_slot key) <- key
                 | Detector.Cache_hit | Detector.Owned_skip -> ()
               in
               (* Memo-drop: a repeat of an event that previously reached
@@ -434,8 +496,8 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                  the later-arriving party entered the trie, and its own
                  insertion is covered. *)
               let fixed_event ~tid ~loc ~kind ~locks ~site =
-                let key = pack ~tid ~loc ~kind ~locks in
-                if key >= 0 && memo.(memo_idx key) = key then
+                let key = memo_key ~tid ~loc ~kind ~locks in
+                if key >= 0 && memo.(memo_slot key) = key then
                   bump site_fast site
                 else forward_memo key ~tid ~loc ~kind ~locks ~site
               in
@@ -456,12 +518,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
               let cache_on = config.Config.use_cache in
               let shared = ss.ss_shared in
               let pack_shared ~tid ~loc ~kind =
-                if cache_on && tid < 1 lsl 10 then
-                  (loc lsl 11)
-                  lor ((match kind with Event.Write -> 1 | Event.Read -> 0)
-                      lsl 10)
-                  lor tid
-                else -1
+                if cache_on then mirror_key ~tid ~loc ~kind else -1
               in
               (* Owner shortcut for a managed cell.  Repeats by a
                  location's owner are exactly the events the detector's
@@ -479,8 +536,8 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
               let disarm ~owner ~loc =
                 let drop kind =
                   let key = pack_shared ~tid:owner ~loc ~kind in
-                  if key >= 0 && shared.(memo_idx key) = key then
-                    shared.(memo_idx key) <- -1
+                  if key >= 0 && shared.(memo_slot key) = key then
+                    shared.(memo_slot key) <- -1
                 in
                 drop Event.Read;
                 drop Event.Write
@@ -495,7 +552,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                          (cache hit or ownership skip, never trie), and
                          demotion disarms these slots before the first
                          foreign event is forwarded. *)
-                      if key2 >= 0 then shared.(memo_idx key2) <- key2
+                      if key2 >= 0 then shared.(memo_slot key2) <- key2
                     end
                     else begin
                       if owner <> -2 then begin
@@ -511,7 +568,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                          now holds (kind, loc) — either the forward just
                          above inserted it, or the Reached event behind a
                          memo hit already had.  Arm the mirror. *)
-                      if key2 >= 0 then shared.(memo_idx key2) <- key2
+                      if key2 >= 0 then shared.(memo_slot key2) <- key2
                     end
                 | exception Not_found ->
                     (* First event for this location anywhere: record
@@ -528,7 +585,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                            (kind, loc) from the lookup just done, so
                            same-kind repeats are cache hits; disarmed on
                            demotion like every owner entry. *)
-                        if key2 >= 0 then shared.(memo_idx key2) <- key2
+                        if key2 >= 0 then shared.(memo_slot key2) <- key2
                     | Detector.Cache_hit | Detector.Reached ->
                         Hashtbl.replace own_map loc (-2))
               in
@@ -536,6 +593,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                 (fun ~cell ~tid ~loc ~kind ~locks ~site ->
                   incr events;
                   incr spec_events;
+                  fp := fp_access !fp ~tid ~loc ~kind;
                   bump site_ev site;
                   match classes.(cell) with
                   | Link.Sro ->
@@ -557,7 +615,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                          was forwarded after its location's demotion, a
                          drop licence that needs no further state. *)
                       let key2 = pack_shared ~tid ~loc ~kind in
-                      if key2 >= 0 && shared.(memo_idx key2) = key2 then
+                      if key2 >= 0 && shared.(memo_slot key2) = key2 then
                         bump site_fast site
                       else owner_event cell key2 ~tid ~loc ~kind ~locks ~site)
           | _ -> None
@@ -574,15 +632,19 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
           spec = spec_handler;
           acquire =
             (fun ~tid ~lock ->
+              fp := fp_acquire !fp ~tid ~lock;
               Lock_order.on_acquire lock_order ~thread:tid ~lock;
               Detector.on_acquire det ~thread:tid ~lock);
           release =
             (fun ~tid ~lock ->
+              fp := fp_release !fp ~tid ~lock;
               Lock_order.on_release lock_order ~thread:tid ~lock;
               Detector.on_release det ~thread:tid ~lock);
+          thread_start =
+            (fun ~parent ~child -> fp := fp_start !fp ~parent ~child);
           thread_exit = (fun ~tid -> Detector.on_thread_exit det ~thread:tid);
         }
-    | (Config.Eraser | Config.ObjRace | Config.HappensBefore) as dv -> (
+    | true, ((Config.Eraser | Config.ObjRace | Config.HappensBefore) as dv) -> (
         (* Every baseline goes through the registry's Detector_intf.S
            module — no per-baseline plumbing.  A pooled instance is
            reset; a fresh one is reset too, which is a no-op. *)
@@ -601,7 +663,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
         | Pooled ((module D), d) ->
             D.reset d;
             finishers := [ (fun () -> `Locs (D.racy_locs d)) ];
-            sink_of_module (module D) d ~wrap_access:count)
+            sink_of_module (module D) d ~wrap_access:count ~fp)
   in
   let vm_config =
     match vm with Some v -> v | None -> vm_config_of config
@@ -664,6 +726,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
       | Config.Ours when detect -> Some (Immutability.summary immut)
       | _ -> None);
     spec_events = !spec_events;
+    fingerprint = !fp;
     site_stats =
       (match (site_ev, site_fast) with
       | Some e, Some f -> Some (e, f)
@@ -799,6 +862,7 @@ let run_module ?vm ?(engine = (`Spec : engine))
       ~wrap_access:(fun f ~tid ~loc ~kind ~locks ~site ->
         incr events;
         f ~tid ~loc ~kind ~locks ~site)
+      ~fp:(ref Sink.fnv_offset)
   in
   let vm_config = match vm with Some v -> v | None -> vm_config_of c.config in
   let r =

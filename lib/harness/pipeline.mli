@@ -85,6 +85,13 @@ type result = {
   site_stats : (int array * int array) option;
       (** Per-site (events seen, fast-path drops), indexed by site id;
           present only under [~site_stats:true]. *)
+  fingerprint : int;
+      (** The raw schedule fingerprint: an order-sensitive FNV-1a fold of
+          thread, location and kind per access, thread and lock per
+          acquire and release, and parent and child per thread start.
+          Computed by every run, for every engine, configuration and
+          [?detect] mode, and equal to what [Explore.fingerprint_tap]
+          (the reference definition) folds over the same run. *)
 }
 
 val vm_config_of : Config.t -> Interp.config
@@ -123,10 +130,12 @@ val run :
 (** Execute the compiled program under its configuration's detector.
     [?vm] overrides the VM configuration (the exploration engine swaps
     seed/quantum/policy per run without recompiling); [?tap] receives a
-    copy of every VM notification alongside the detector (schedule
-    fingerprinting, event counting).  [?detect:false] runs the {e same}
-    instrumented program — so the schedule is bit-identical — but skips
-    all detector work, leaving only event counting and the tap; the
+    copy of every VM notification alongside the detector (the
+    happens-before fingerprint, event logs); the raw fingerprint needs
+    no tap, it is [result.fingerprint].  [?detect:false] runs the {e
+    same} instrumented program — so the schedule is bit-identical — but
+    skips all detector work, leaving only event counting, the raw
+    fingerprint and the tap; the
     exploration engine uses it for fingerprint-only passes when replay
     pruning decides whether the detector pass is needed at all.
     [?engine] (default [`Spec]) selects the interpreter; [`Linked] and

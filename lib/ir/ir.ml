@@ -98,6 +98,9 @@ type block = {
   mutable b_instrs : instr list;
   mutable b_term : term;
   mutable b_term_sync : int list; (* sync path at the terminator *)
+  b_term_line : int;
+      (* source line of the statement that ended the block; 0 for a
+         block lowering left unterminated *)
 }
 
 (* Dense ids.  A method's key and id are fixed at lowering: [mir_id] is

@@ -490,20 +490,24 @@ let link_mir ~tprog ~method_id ~class_ids ~slot_ids ~vtables ~cell_of_site
         lines.(!pc) <- i.i_line;
         incr pc)
       b.b_instrs;
-    let term_line =
-      match b.b_instrs with [] -> 0 | is -> (List.nth is (List.length is - 1)).i_line
-    in
     code.(!pc) <-
       (match b.b_term with
       | Goto l' -> Lgoto block_pc.(l')
       | If (c, t, f) ->
-          expect term_line "if" Kbool c;
+          expect b.b_term_line "if" Kbool c;
           Lif (c, block_pc.(t), block_pc.(f))
       | Ret v ->
-          Option.iter (expect term_line "return" ret) v;
+          Option.iter (expect b.b_term_line "return" ret) v;
           Lret v
       | Trap msg -> Ltrap msg);
-    lines.(!pc) <- term_line
+    (* The code line table gives a terminator its block's last
+       instruction's line (0 for an empty block); [compile_identity.txt]
+       pins that table.  Diagnostics name the terminator's own statement
+       ([b_term_line]). *)
+    lines.(!pc) <-
+      (match b.b_instrs with
+      | [] -> 0
+      | is -> (List.nth is (List.length is - 1)).i_line)
   done;
   validate
     {

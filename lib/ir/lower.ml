@@ -9,6 +9,7 @@ type builder_block = {
   mutable bb_rev_instrs : instr list;
   mutable bb_term : term option;
   mutable bb_term_sync : int list;
+  mutable bb_term_line : int;
 }
 
 type ctx = {
@@ -39,6 +40,7 @@ let new_block ctx =
       bb_rev_instrs = [];
       bb_term = None;
       bb_term_sync = [];
+      bb_term_line = 0;
     }
   in
   ctx.nblocks <- ctx.nblocks + 1;
@@ -71,11 +73,12 @@ let fresh ctx ty =
 (* Terminate the current block; if it already has a terminator (dead
    code after return/break), the instruction stream continues in a fresh
    unreachable block, so we only set the terminator when absent. *)
-let set_term ctx term =
+let set_term ctx line term =
   match ctx.cur.bb_term with
   | None ->
       ctx.cur.bb_term <- Some term;
-      ctx.cur.bb_term_sync <- sync_path ctx
+      ctx.cur.bb_term_sync <- sync_path ctx;
+      ctx.cur.bb_term_line <- line
   | Some _ -> ()
 
 let switch_to ctx bb = ctx.cur <- bb
@@ -188,16 +191,16 @@ and lower_short_circuit ctx line ~is_and l r =
   let b_rhs = new_block ctx in
   let b_skip = new_block ctx in
   let b_join = new_block ctx in
-  set_term ctx
+  set_term ctx line
     (if is_and then If (rl, b_rhs.bb_label, b_skip.bb_label)
      else If (rl, b_skip.bb_label, b_rhs.bb_label));
   switch_to ctx b_rhs;
   let rr = lower_expr ctx r in
   emit ctx line (Move (d, rr));
-  set_term ctx (Goto b_join.bb_label);
+  set_term ctx line (Goto b_join.bb_label);
   switch_to ctx b_skip;
   emit ctx line (Const (d, Cbool (not is_and)));
-  set_term ctx (Goto b_join.bb_label);
+  set_term ctx line (Goto b_join.bb_label);
   switch_to ctx b_join;
   d
 
@@ -310,22 +313,22 @@ let rec lower_stmt ctx (s : tstmt) =
       let b_then = new_block ctx in
       let b_else = new_block ctx in
       let b_join = new_block ctx in
-      set_term ctx (If (rc, b_then.bb_label, b_else.bb_label));
+      set_term ctx line (If (rc, b_then.bb_label, b_else.bb_label));
       switch_to ctx b_then;
       List.iter (lower_stmt ctx) thn;
-      set_term ctx (Goto b_join.bb_label);
+      set_term ctx line (Goto b_join.bb_label);
       switch_to ctx b_else;
       List.iter (lower_stmt ctx) els;
-      set_term ctx (Goto b_join.bb_label);
+      set_term ctx line (Goto b_join.bb_label);
       switch_to ctx b_join
   | TWhile (cond, body) ->
       let b_head = new_block ctx in
       let b_body = new_block ctx in
       let b_exit = new_block ctx in
-      set_term ctx (Goto b_head.bb_label);
+      set_term ctx line (Goto b_head.bb_label);
       switch_to ctx b_head;
       let rc = lower_expr ctx cond in
-      set_term ctx (If (rc, b_body.bb_label, b_exit.bb_label));
+      set_term ctx line (If (rc, b_body.bb_label, b_exit.bb_label));
       ctx.loops <-
         {
           lc_continue = b_head.bb_label;
@@ -335,7 +338,7 @@ let rec lower_stmt ctx (s : tstmt) =
         :: ctx.loops;
       switch_to ctx b_body;
       List.iter (lower_stmt ctx) body;
-      set_term ctx (Goto b_head.bb_label);
+      set_term ctx line (Goto b_head.bb_label);
       ctx.loops <- List.tl ctx.loops;
       switch_to ctx b_exit
   | TFor (init, cond, update, body) ->
@@ -344,13 +347,13 @@ let rec lower_stmt ctx (s : tstmt) =
       let b_body = new_block ctx in
       let b_update = new_block ctx in
       let b_exit = new_block ctx in
-      set_term ctx (Goto b_head.bb_label);
+      set_term ctx line (Goto b_head.bb_label);
       switch_to ctx b_head;
       (match cond with
       | Some c ->
           let rc = lower_expr ctx c in
-          set_term ctx (If (rc, b_body.bb_label, b_exit.bb_label))
-      | None -> set_term ctx (Goto b_body.bb_label));
+          set_term ctx line (If (rc, b_body.bb_label, b_exit.bb_label))
+      | None -> set_term ctx line (Goto b_body.bb_label));
       ctx.loops <-
         {
           lc_continue = b_update.bb_label;
@@ -360,16 +363,16 @@ let rec lower_stmt ctx (s : tstmt) =
         :: ctx.loops;
       switch_to ctx b_body;
       List.iter (lower_stmt ctx) body;
-      set_term ctx (Goto b_update.bb_label);
+      set_term ctx line (Goto b_update.bb_label);
       ctx.loops <- List.tl ctx.loops;
       switch_to ctx b_update;
       Option.iter (lower_stmt ctx) update;
-      set_term ctx (Goto b_head.bb_label);
+      set_term ctx line (Goto b_head.bb_label);
       switch_to ctx b_exit
   | TReturn e ->
       let r = Option.map (lower_expr ctx) e in
       emit_sync_exits ctx line ~down_to:0;
-      set_term ctx (Ret r);
+      set_term ctx line (Ret r);
       switch_to ctx (new_block ctx)
   | TSync (lock, body) ->
       let rl = lower_expr ctx lock in
@@ -387,12 +390,12 @@ let rec lower_stmt ctx (s : tstmt) =
   | TBreak ->
       let lc = List.hd ctx.loops in
       emit_sync_exits ctx line ~down_to:lc.lc_sync_depth;
-      set_term ctx (Goto lc.lc_break);
+      set_term ctx line (Goto lc.lc_break);
       switch_to ctx (new_block ctx)
   | TContinue ->
       let lc = List.hd ctx.loops in
       emit_sync_exits ctx line ~down_to:lc.lc_sync_depth;
-      set_term ctx (Goto lc.lc_continue);
+      set_term ctx line (Goto lc.lc_continue);
       switch_to ctx (new_block ctx)
 
 let lower_method prog sites ~id (m : tmethod) : mir =
@@ -402,6 +405,7 @@ let lower_method prog sites ~id (m : tmethod) : mir =
       bb_rev_instrs = [];
       bb_term = None;
       bb_term_sync = [];
+      bb_term_line = 0;
     }
   in
   let ctx =
@@ -446,9 +450,9 @@ let lower_method prog sites ~id (m : tmethod) : mir =
   (* Fall-off-the-end epilogue. *)
   (if m.tm_ret = Ast.Tvoid then begin
      emit_sync_exits ctx line ~down_to:0;
-     set_term ctx (Ret None)
+     set_term ctx line (Ret None)
    end
-   else set_term ctx (Trap "missing return"));
+   else set_term ctx line (Trap "missing return"));
   (* Seal all blocks. *)
   let blocks = Array.make ctx.nblocks None in
   List.iter
@@ -460,6 +464,7 @@ let lower_method prog sites ~id (m : tmethod) : mir =
             b_instrs = List.rev bb.bb_rev_instrs;
             b_term = Option.value bb.bb_term ~default:(Trap "unreachable");
             b_term_sync = bb.bb_term_sync;
+            b_term_line = bb.bb_term_line;
           })
     ctx.blocks;
   ignore sites;

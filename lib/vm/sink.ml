@@ -49,6 +49,25 @@ type t = {
          detector-internal statistics may differ. *)
 }
 
+(* ---- the FNV-1a step of the schedule fingerprints ----
+
+   Both fingerprints fold with these: the raw order-sensitive one
+   (computed by every [Pipeline.run], with [Explore.fingerprint_tap] as
+   its reference definition) and the happens-before one
+   ([Hb_fingerprint], which re-exports them).  They live here, below
+   both, because the harness cannot see the explore library.
+
+   [mask] truncates to 46 bits: fingerprints cross the shard wire as
+   JSON integers, and 46 bits keeps them exactly representable both in
+   OCaml's 63-bit ints and in the IEEE doubles any off-the-shelf JSON
+   consumer parses numbers into (< 2^53), with headroom for the hb
+   tap's commutative sum fold. *)
+
+let fnv_offset = 0x811C9DC5
+let fnv_prime = 0x01000193
+let mask = 0x3FFFFFFFFFFF
+let mix fp v = ((fp lxor v) * fnv_prime) land mask
+
 let null =
   {
     access = (fun ~tid:_ ~loc:_ ~kind:_ ~locks:_ ~site:_ -> ());

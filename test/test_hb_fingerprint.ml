@@ -260,12 +260,14 @@ let test_pinned_values () =
       in
       let raw_tap, raw_fp = E.Explore.fingerprint_tap () in
       let hb_tap, hb_fp = Hb.tap () in
-      ignore
-        (P.run ~vm ~tap:(Sink.tee raw_tap hb_tap) ~detect:false c : P.result);
+      let r = P.run ~vm ~tap:(Sink.tee raw_tap hb_tap) ~detect:false c in
       let label =
         Printf.sprintf "%s %s #%d" name (E.Strategy.name strategy) index
       in
       Alcotest.(check int) (label ^ " raw") raw (raw_fp ());
+      (* The fingerprint the run folds itself, which campaigns record. *)
+      Alcotest.(check int) (label ^ " raw, folded by the run") raw
+        r.P.fingerprint;
       Alcotest.(check int) (label ^ " hb") hb (hb_fp ()))
     pinned
 

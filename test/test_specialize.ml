@@ -371,6 +371,30 @@ let test_fixed_site_lockset_stable () =
         ids)
     seen
 
+(* --------------------------------------------------------------- *)
+(* Memo keys must not alias.  The Sfixed memo packs the location into
+   the top bits of its key.  A location of 2^31 or more (a field of an
+   object with heap id 2^20 or more) does not fit: packing it anyway
+   wrapped the key onto the same field of the object 2^21 ids lower.
+   In [memo_alias.mj], [G.a] and [G.b] lie 2^21 ids apart.  Both threads
+   write [G.a.f], each under its own pseudo-lock, in a hand-off through
+   [G.phase] that orders them, which memoizes their keys.  Their later
+   writes to [G.b.f] race; the wrapped key made the memo drop the second
+   thread's write, and the specialized engine reported nothing.  Each
+   run allocates 2^21 objects and takes about a second. *)
+
+let test_memo_keys_do_not_alias () =
+  let c = compile (In_channel.with_open_bin "memo_alias.mj" In_channel.input_all) in
+  Alcotest.(check bool)
+    "U.touch has an Sfixed site" true
+    (has_class c "U.touch" Link.Sfixed);
+  List.iter
+    (fun (name, engine) ->
+      let r = Pipeline.run ~engine c in
+      Alcotest.(check (list string))
+        (name ^ " races") [ "Box#2097154.f" ] r.Pipeline.races)
+    [ ("ref", `Ref); ("linked", `Linked); ("spec", `Spec) ]
+
 let suite =
   [
     Alcotest.test_case "near miss: lock dropped on one path" `Quick
@@ -387,4 +411,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_intern_canonical;
     Alcotest.test_case "fixed sites see one lockset id per thread" `Quick
       test_fixed_site_lockset_stable;
+    Alcotest.test_case "memo keys of distant objects do not alias" `Quick
+      test_memo_keys_do_not_alias;
   ]

@@ -6,7 +6,10 @@
    the happens-before fingerprint — for every example program under
    every scheduling family (sweep, jitter, pct).  A run that dies (e.g.
    needle's seed-dependent wait() deadlock) must die identically: same
-   error string, same event-log prefix.
+   error string, same event-log prefix.  Every run's own raw fingerprint
+   ([Pipeline.result.fingerprint], folded inside the run) must equal the
+   reference tap's ([Explore.fingerprint_tap]), on every engine, and
+   with the detector off too for the benchmark x strategy cases.
 
    Engines agreeing with each other does not show that their shared
    semantics held across a change to both.  So every case also renders
@@ -70,7 +73,9 @@ type obs = {
   o_hb_fp : int;
 }
 
-let observe ~engine compiled vm : obs =
+(* Runs [compiled] on [engine] with every tap attached, and checks the
+   run's own raw fingerprint against the reference tap's. *)
+let observe ?(detect = true) ~label ~engine compiled vm : obs =
   let log_sink, log = log_tap () in
   let fp_sink, fp = Explore.fingerprint_tap () in
   let hb_sink, hb = Hb_fingerprint.tap () in
@@ -92,8 +97,18 @@ let observe ~engine compiled vm : obs =
   let finish o =
     { o with o_log = Event_log.entries log; o_interleave_fp = fp (); o_hb_fp = hb () }
   in
-  match Pipeline.run ~vm ~tap ~engine compiled with
+  match Pipeline.run ~vm ~tap ~detect ~engine compiled with
   | r ->
+      if r.Pipeline.fingerprint <> fp () then
+        Alcotest.failf
+          "%s [%s%s]: the run's fingerprint %#x, the reference tap's %#x"
+          label
+          (match engine with
+          | `Ref -> "ref"
+          | `Linked -> "linked"
+          | `Spec -> "spec")
+          (if detect then "" else ", detector off")
+          r.Pipeline.fingerprint (fp ());
       finish
         {
           empty with
@@ -269,15 +284,23 @@ let test_identity ~case name source strategy () =
     in
     let vm = vm_of compiled sp in
     let label = Printf.sprintf "%s %s #%d" name (Strategy.name strategy) index in
-    let a = observe ~engine:`Ref compiled vm in
+    let a = observe ~label ~engine:`Ref compiled vm in
     render_obs buf label a;
-    let b = observe ~engine:`Linked compiled vm in
+    let b = observe ~label ~engine:`Linked compiled vm in
     check_obs label a b;
     (* The specialized engine's fast paths must be invisible through
        every observable channel too — including the tapped event log,
        where a wrongly dropped event would surface. *)
-    let c = observe ~engine:`Spec compiled vm in
-    check_obs (label ^ " [spec]") a c
+    let c = observe ~label ~engine:`Spec compiled vm in
+    check_obs (label ^ " [spec]") a c;
+    (* The fingerprint-only pass a campaign makes under hb equivalence:
+       the same schedule, no detector, so no races. *)
+    List.iter
+      (fun engine ->
+        check_obs (label ^ " [detector off]")
+          { a with o_races = []; o_objects = [] }
+          (observe ~detect:false ~label ~engine compiled vm))
+      [ `Ref; `Linked; `Spec ]
   done
 
 let test_record_log ~case name source () =
@@ -347,11 +370,11 @@ let test_pct_grid ~case programs () =
                     Printf.sprintf "%s pct(d=%d) quantum %d seed %d" name depth
                       quantum seed
                   in
-                  let a = observe ~engine:`Ref compiled vm in
+                  let a = observe ~label ~engine:`Ref compiled vm in
                   render_obs buf label a;
-                  check_obs label a (observe ~engine:`Linked compiled vm);
+                  check_obs label a (observe ~label ~engine:`Linked compiled vm);
                   check_obs (label ^ " [spec]") a
-                    (observe ~engine:`Spec compiled vm))
+                    (observe ~label ~engine:`Spec compiled vm))
                 grid_seeds)
             grid_depths)
         grid_quanta)
