@@ -107,6 +107,14 @@ let config_of_name ?quantum ?pct ?(pct_horizon = 20_000) name seed =
         }
   | None -> Error (Printf.sprintf "unknown configuration %s" name)
 
+(* The configuration a command runs: the named one, with [--detector]'s
+   registry row applied on top. *)
+let resolve_config ?quantum ?pct ?pct_horizon name detector seed =
+  Result.map
+    (fun c ->
+      match detector with None -> c | Some e -> H.Registry.apply e c)
+    (config_of_name ?quantum ?pct ?pct_horizon name seed)
+
 (* ---- common arguments (one definition per flag; every subcommand
    that takes a seed/strategy/… shares these) ---- *)
 
@@ -438,12 +446,7 @@ let run_cmd_impl file benchmark config_name detector seed quantum pct
   | Error e -> `Error (false, e)
   | Ok source -> (
       match
-        Result.map
-          (fun c ->
-            match detector with
-            | None -> c
-            | Some e -> H.Registry.apply e c)
-          (config_of_name ?quantum ?pct ~pct_horizon config_name seed)
+        resolve_config ?quantum ?pct ~pct_horizon config_name detector seed
       with
       | Error e -> `Error (false, e)
       | Ok config when json ->
@@ -594,7 +597,7 @@ let record_impl file benchmark out =
       close_out oc;
       Fmt.pr "recorded %d events (%d threads, %d steps) to %s@."
         (Drd_core.Event_log.length log)
-        result.Drd_vm.Interp.r_max_threads result.Drd_vm.Interp.r_steps out;
+        result.H.Pipeline.threads result.H.Pipeline.steps out;
       `Ok ()
 
 let record_cmd =
@@ -619,10 +622,10 @@ let read_log log_file =
   | exception Failure e -> data_error "%s" e
   | log -> log
 
-(* `--detector` on a baseline replays the log through the registry's
+(* A baseline configuration replays the log through the registry's
    module — the generic sibling of the paper detector's post-mortem
    phase below.  Site/location names are not part of the log, so
-   locations print by id, as the `-c` baseline path always has. *)
+   locations print by id. *)
 let detect_replay_module (e : H.Registry.entry) log_file json =
   let log = read_log log_file in
   let racy, events = H.Pipeline.replay_module e.H.Registry.impl log in
@@ -649,21 +652,17 @@ let detect_replay_module (e : H.Registry.entry) log_file json =
   end;
   `Ok ()
 
+(* [-c] and [--detector] resolve to one configuration first, as for
+   [run]; its detector then picks the replay, so [-c HappensBefore] and
+   [--detector vclock] replay the same module. *)
 let detect_impl log_file config_name detector pairs benchmark json =
-  match detector with
-  | Some e when e.H.Registry.detector <> H.Config.Ours ->
-      detect_replay_module e log_file json
-  | _ -> (
-  match
-    Result.map
-      (fun c ->
-        match detector with
-        | None -> c
-        | Some e -> H.Registry.apply e c)
-      (config_of_name config_name 42)
-  with
+  match resolve_config config_name detector 42 with
   | Error e -> `Error (false, e)
   | Ok config -> (
+    match H.Registry.of_detector config.H.Config.detector with
+    | Some e when e.H.Registry.detector <> H.Config.Ours ->
+      detect_replay_module e log_file json
+    | _ -> (
     match read_log log_file with
     | log when json ->
       (* The same renderer the serve daemon closes a session with, so a
@@ -1033,71 +1032,41 @@ let merge_impl files json =
                 p0 p
         | None -> (
             let rows = List.concat_map (fun (_, (_, _, rs)) -> rs) shards in
-            (* A run index in two inputs means overlapping shards — the
-               fold would double-count sightings.  Compile failures
-               (index -1) are per-shard and exempt. *)
-            let seen = Hashtbl.create 64 in
-            let dup =
-              List.find_opt
-                (fun row ->
-                  let i = E.Aggregate.row_index row in
-                  if i < 0 then false
-                  else if Hashtbl.mem seen i then true
-                  else begin
-                    Hashtbl.add seen i ();
-                    false
-                  end)
-                rows
+            let describe_missing missing =
+              let shown =
+                List.filteri (fun k _ -> k < 8) missing
+                |> List.map string_of_int
+              in
+              Printf.sprintf "%d of %d run indices missing (%s%s)"
+                (List.length missing) spec0.E.Explore.e_budget.E.Explore.b_runs
+                (String.concat ", " shown)
+                (if List.length missing > 8 then ", ..." else "")
             in
-            match dup with
-            | Some row ->
+            match E.Explore.check_shard_set spec0 rows with
+            | Error (E.Explore.Duplicate_index i) ->
                 data_error
                   "run index %d appears in more than one input (overlapping \
                    shards?); refusing to merge"
-                  (E.Aggregate.row_index row)
-            | None -> (
-                (* The inverse failure of overlap: a missing shard file
-                   or truncated tail leaves gaps in the index range, and
-                   the fold would silently produce a plausible report
-                   that is not the single-process one.  With a purely
-                   runs-based budget every index must be present; with a
-                   wall-clock or plateau budget, runs legitimately never
-                   executed, so only warn. *)
-                let missing = E.Explore.missing_indices spec0 rows in
-                let b = spec0.E.Explore.e_budget in
-                let pure_runs_budget =
-                  b.E.Explore.b_seconds = None && b.E.Explore.b_plateau = None
-                in
-                let describe_missing () =
-                  let shown =
-                    List.filteri (fun k _ -> k < 8) missing
-                    |> List.map string_of_int
-                  in
-                  Printf.sprintf "%d of %d run indices missing (%s%s)"
-                    (List.length missing) b.E.Explore.b_runs
-                    (String.concat ", " shown)
-                    (if List.length missing > 8 then ", ..." else "")
-                in
-                match missing with
-                | _ :: _ when pure_runs_budget ->
-                    data_error
-                      "%s — incomplete shard set or truncated file? refusing \
-                       to merge"
-                      (describe_missing ())
-                | _ ->
-                    if missing <> [] then
-                      Printf.eprintf
-                        "warning: %s; assuming the campaign's \
-                         wall-clock/plateau budget stopped those runs\n\
-                         %!"
-                        (describe_missing ());
-                    let r = E.Explore.merge spec0 rows in
-                    if json then
-                      print_endline (E.Explore.report_json ~timing:false r)
-                    else
-                      print_string
-                        (E.Explore.report_text ~timing:false ~target:target0 r);
-                    `Ok ())))
+                  i
+            | Error (E.Explore.Missing_indices missing) ->
+                data_error
+                  "%s — incomplete shard set or truncated file? refusing to \
+                   merge"
+                  (describe_missing missing)
+            | Ok missing ->
+                if missing <> [] then
+                  Printf.eprintf
+                    "warning: %s; assuming the campaign's wall-clock/plateau \
+                     budget stopped those runs\n\
+                     %!"
+                    (describe_missing missing);
+                let r = E.Explore.merge spec0 rows in
+                if json then
+                  print_endline (E.Explore.report_json ~timing:false r)
+                else
+                  print_string
+                    (E.Explore.report_text ~timing:false ~target:target0 r);
+                `Ok ()))
 
 let merge_cmd =
   let doc = "merge shard observation files into one campaign report" in
@@ -1132,7 +1101,9 @@ let merge_cmd =
 (* ---- serve: the long-lived streaming detection daemon ---- *)
 
 let serve_impl config_name socket stats_every evict_high evict_low =
-  match config_of_name config_name 42 with
+  match
+    Result.bind (config_of_name config_name 42) Drd_serve.Session.events_config
+  with
   | Error e -> `Error (false, e)
   | Ok config -> (
       match

@@ -49,9 +49,9 @@ let () =
     (fun (e : H.Registry.entry) ->
       let config = H.Registry.apply e H.Config.full in
       let compiled = H.Pipeline.compile config ~source in
-      let r = H.Pipeline.run_module e.H.Registry.impl compiled in
+      let r = H.Pipeline.run compiled in
       Fmt.pr "  %-8s %s@." e.H.Registry.name
-        (match r.H.Pipeline.m_races with
+        (match r.H.Pipeline.races with
         | [] -> "quiet (no race)"
         | races -> "reports " ^ String.concat ", " races))
     H.Registry.all;

@@ -45,9 +45,9 @@ let run_one (opts : options) (entry : Registry.entry) (sp : Gen.spec) : outcome
     let vm =
       { (P.vm_config_of config) with Interp.max_steps = opts.o_max_steps }
     in
-    P.run_module ~vm entry.Registry.impl compiled
+    P.run ~vm compiled
   with
-  | r -> { oc_races = r.P.m_races; oc_error = None }
+  | r -> { oc_races = r.P.races; oc_error = None }
   | exception e -> { oc_races = []; oc_error = Some (Printexc.to_string e) }
 
 let reported (oc : outcome) (c : Gen.cell) =

@@ -439,7 +439,5 @@ module Standard = struct
 
   let racy_locs d = Report.racy_locs d.coll
 
-  let race_count d = Report.count d.coll
-
   let events_seen d = (stats d.det).events_in
 end

@@ -1,11 +1,12 @@
 (** The common shape of every race detector in the repo.
 
-    [S] is the contract the harness ({!Drd_harness.Pipeline}) and the
-    differential arena ([Drd_arena]) program against: one constructor,
+    [S] is the contract the harness ({!Drd_harness.Pipeline}) programs
+    against for the baselines, online and post-mortem: one constructor,
     one scalar access entry point, the synchronization hooks the VM can
-    emit, and report extraction.  {!Detector.Standard} packages the
-    paper detector this way; the baselines in [Drd_baselines] satisfy
-    it directly.
+    emit, and report extraction.  The baselines in [Drd_baselines]
+    satisfy it directly; {!Detector.Standard} packages the paper
+    detector this way for the registry, though runs drive the paper
+    detector itself, through its specialized fast paths.
 
     Hooks a detector does not use are required to be no-ops rather than
     absent — the driver installs every callback unconditionally and the
@@ -74,8 +75,6 @@ module type S = sig
   val racy_locs : t -> Event.loc_id list
   (** Distinct racy locations, first report per location, in detection
       order. *)
-
-  val race_count : t -> int
 
   val events_seen : t -> int
 end

@@ -281,6 +281,38 @@ let missing_indices (sp : spec) rows =
     rows;
   List.init total Fun.id |> List.filter (fun i -> not (Hashtbl.mem present i))
 
+type shard_refusal = Duplicate_index of int | Missing_indices of int list
+
+(* Whether rows gathered from shards (or one stream) may be folded as
+   campaign [sp].  A run index in two rows would double-count sightings;
+   compile failures (index -1) are per-shard and exempt.  Gaps under a
+   purely runs-based budget mean a missing shard or a truncated stream;
+   under a wall-clock or plateau budget runs legitimately never
+   executed, so the gaps come back for the caller to warn about. *)
+let check_shard_set (sp : spec) rows =
+  let seen = Hashtbl.create 64 in
+  let dup =
+    List.find_opt
+      (fun row ->
+        let i = Aggregate.row_index row in
+        if i < 0 then false
+        else if Hashtbl.mem seen i then true
+        else begin
+          Hashtbl.add seen i ();
+          false
+        end)
+      rows
+  in
+  match dup with
+  | Some row -> Error (Duplicate_index (Aggregate.row_index row))
+  | None -> (
+      let missing = missing_indices sp rows in
+      let b = sp.e_budget in
+      match missing with
+      | _ :: _ when b.b_seconds = None && b.b_plateau = None ->
+          Error (Missing_indices missing)
+      | _ -> Ok missing)
+
 let rows_of_report r =
   List.sort
     (fun a b -> compare (Aggregate.row_index a) (Aggregate.row_index b))

@@ -198,6 +198,23 @@ val missing_indices : spec -> Aggregate.row list -> int list
     from the single-process run.  Rows with negative indices (markers
     from older recorders) are ignored. *)
 
+type shard_refusal =
+  | Duplicate_index of int
+      (** A run index appears in two rows (overlapping shards): the
+          fold would double-count its sightings. *)
+  | Missing_indices of int list
+      (** Run indices no row covers under a purely runs-based budget:
+          an incomplete shard set or a truncated stream. *)
+
+val check_shard_set :
+  spec -> Aggregate.row list -> (int list, shard_refusal) result
+(** The one decision [racedet merge] and a serve obs session make
+    before folding rows as campaign [spec] with {!merge}: which refusal
+    applies, or [Ok] with the {!missing_indices} left under a
+    wall-clock or plateau budget (runs that legitimately never
+    executed; [merge] warns about them).  Failure rows (index -1) are
+    exempt from the duplicate check. *)
+
 val rows_of_report : report -> Aggregate.row list
 (** The report's observations and failures as wire rows, in run-index
     order. *)

@@ -187,42 +187,72 @@ let vm_config_of (config : Config.t) =
     policy = config.Config.policy;
   }
 
-(* The event sink that drives any Detector_intf.S module: every VM
-   callback routed to the matching hook (unused hooks are no-ops by the
-   interface contract), virtual-call receiver events only when the
-   detector asks for them.  [wrap_access] lets the caller interpose on
-   the access path (event counting, site stats); the sync callbacks fold
-   the raw fingerprint into [fp]. *)
-let sink_of_module (type a) (module D : Detector_intf.S with type t = a)
-    (d : a) ~wrap_access ~(fp : int ref) =
+(* The paper detector's knobs a harness configuration selects: the one
+   place a [Config.t] becomes a [Detector.config], for runs, post-mortem
+   replay and serve sessions alike. *)
+let detector_config_of (config : Config.t) =
   {
-    Sink.access =
-      wrap_access (fun ~tid ~loc ~kind ~locks ~site ->
-          D.on_access_interned d ~loc ~thread:tid ~locks ~kind ~site);
-    acquire =
-      (fun ~tid ~lock ->
-        fp := fp_acquire !fp ~tid ~lock;
-        D.on_acquire d ~thread:tid ~lock);
-    release =
-      (fun ~tid ~lock ->
-        fp := fp_release !fp ~tid ~lock;
-        D.on_release d ~thread:tid ~lock);
-    thread_start =
-      (fun ~parent ~child ->
-        fp := fp_start !fp ~parent ~child;
-        D.on_thread_start d ~parent ~child);
-    thread_join = (fun ~joiner ~joinee -> D.on_thread_join d ~joiner ~joinee);
-    thread_exit = (fun ~tid -> D.on_thread_exit d ~thread:tid);
-    call =
-      (if D.needs_call_events then
-         Some
-           (fun ~tid ~obj ~locks ~site ->
-             D.on_call d ~thread:tid
-               ~obj_loc:(Memloc.whole_object ~obj)
-               ~locks ~site)
-       else None);
-    spec = None;
+    Detector.default_config with
+    Detector.use_cache = config.Config.use_cache;
+    use_ownership = config.Config.use_ownership;
   }
+
+(* The shape of a sink's access callback, which {!run}'s event counter
+   wraps. *)
+type access =
+  tid:Event.thread_id ->
+  loc:Event.loc_id ->
+  kind:Event.kind ->
+  locks:Lockset_id.id ->
+  site:Event.site_id ->
+  unit
+
+(* A baseline detector behind Detector_intf.S, created once with its
+   context.  [bl_sink ~count ~fp] resets it and returns the sink of one
+   run: every VM callback routed to the matching hook (unused hooks are
+   no-ops by the interface contract), virtual-call receiver events only
+   when the detector asks for them, {!run}'s event counter [count] on
+   the access path, and the sync callbacks folding the raw fingerprint
+   into [fp]. *)
+type baseline = {
+  bl_sink : count:(access -> access) -> fp:int ref -> Sink.t;
+  bl_racy_locs : unit -> Event.loc_id list;
+}
+
+let baseline (module D : Detector_intf.S) =
+  let d = D.create () in
+  let bl_sink ~count ~(fp : int ref) =
+    D.reset d;
+    {
+      Sink.access =
+        count (fun ~tid ~loc ~kind ~locks ~site ->
+            D.on_access_interned d ~loc ~thread:tid ~locks ~kind ~site);
+      acquire =
+        (fun ~tid ~lock ->
+          fp := fp_acquire !fp ~tid ~lock;
+          D.on_acquire d ~thread:tid ~lock);
+      release =
+        (fun ~tid ~lock ->
+          fp := fp_release !fp ~tid ~lock;
+          D.on_release d ~thread:tid ~lock);
+      thread_start =
+        (fun ~parent ~child ->
+          fp := fp_start !fp ~parent ~child;
+          D.on_thread_start d ~parent ~child);
+      thread_join = (fun ~joiner ~joinee -> D.on_thread_join d ~joiner ~joinee);
+      thread_exit = (fun ~tid -> D.on_thread_exit d ~thread:tid);
+      call =
+        (if D.needs_call_events then
+           Some
+             (fun ~tid ~obj ~locks ~site ->
+               D.on_call d ~thread:tid
+                 ~obj_loc:(Memloc.whole_object ~obj)
+                 ~locks ~site)
+         else None);
+      spec = None;
+    }
+  in
+  { bl_sink; bl_racy_locs = (fun () -> D.racy_locs d) }
 
 (* Pooled state for the [`Spec] engine's fast paths: the memo tables the
    spec handler in {!run} closes over.  8k slots per table (see the
@@ -283,56 +313,45 @@ let reset_spec_state ss =
   Array.fill ss.ss_ro_seen 0 (Array.length ss.ss_ro_seen) false;
   Hashtbl.clear ss.ss_own_map
 
-(* A detector-module instance packed with its module, so pooled
-   baseline detectors can be stored untyped and reset between runs. *)
-type pooled_detector =
-  | Pooled :
-      (module Detector_intf.S with type t = 'a) * 'a
-      -> pooled_detector
-
-let pool_detector (module D : Detector_intf.S) = Pooled ((module D), D.create ())
-
 (* A pooled, resettable run context: everything {!run} would otherwise
    allocate per run — VM state, detector, collector, side analyses,
    spec-handler memo tables — created once per (worker, compiled) pair
-   and reset at the start of every run that uses it.  Reports from a
-   reused context are byte-identical to fresh-context runs; the tests
-   and the CI diff step assert this. *)
+   and reset at the start of every run that uses it.  A run without a
+   context runs on a fresh one, so reports from a reused context are
+   byte-identical to fresh-context runs; the tests and the CI diff step
+   assert this. *)
 module Run_ctx = struct
+  type detector =
+    | No_detector (* NoDetect, or a context for fingerprint-only runs *)
+    | Paper of Detector.t
+    | Baseline of baseline
+
   type t = {
     rc_compiled : compiled;
     rc_vm : Interp.ctx;
     rc_collector : Report.collector;
     rc_lock_order : Lock_order.t;
     rc_immut : Immutability.t;
-    rc_det : Detector.t option; (* Config.Ours only *)
-    rc_baseline : pooled_detector option; (* baseline configs only *)
-    rc_spec : spec_state option; (* images with specialized cells only *)
+    rc_detector : detector;
+    rc_spec : spec_state option; (* the paper detector, specialized image *)
   }
 
-  let create (c : compiled) : t =
+  (* [~detect:false] leaves out the detector and the spec memos,
+     [~spec:false] the spec memos: the context {!run} makes for itself
+     holds only what that run touches. *)
+  let make ~detect ~spec (c : compiled) : t =
     let collector = Report.collector () in
-    let det, baseline =
-      match c.config.Config.detector with
-      | Config.Ours ->
-          ( Some
-              (Detector.create
-                 ~config:
-                   {
-                     Detector.default_config with
-                     Detector.use_cache = c.config.Config.use_cache;
-                     use_ownership = c.config.Config.use_ownership;
-                   }
-                 collector),
-            None )
-      | (Config.Eraser | Config.ObjRace | Config.HappensBefore) as dv ->
-          let entry =
+    let detector =
+      if not detect then No_detector
+      else
+        match c.config.Config.detector with
+        | Config.Ours ->
+            Paper
+              (Detector.create ~config:(detector_config_of c.config) collector)
+        | dv -> (
             match Registry.of_detector dv with
-            | Some e -> e
-            | None -> assert false
-          in
-          (None, Some (pool_detector entry.Registry.impl))
-      | Config.NoDetect -> (None, None)
+            | Some e -> Baseline (baseline e.Registry.impl)
+            | None -> No_detector)
     in
     {
       rc_compiled = c;
@@ -340,24 +359,26 @@ module Run_ctx = struct
       rc_collector = collector;
       rc_lock_order = Lock_order.create ();
       rc_immut = Immutability.create ();
-      rc_det = det;
-      rc_baseline = baseline;
+      rc_detector = detector;
       rc_spec =
-        (match (c.config.Config.detector, c.image.Link.i_spec) with
-        | Config.Ours, Some sp -> Some (make_spec_state sp)
+        (match (detector, c.image.Link.i_spec) with
+        | Paper _, Some sp when spec -> Some (make_spec_state sp)
         | _ -> None);
     }
 
-  let compiled t = t.rc_compiled
+  let create c = make ~detect:true ~spec:true c
 end
 
 let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     ?(site_stats = false) (c : compiled) : result =
-  (match ctx with
-  | Some x when x.Run_ctx.rc_compiled != c ->
-      invalid_arg
-        "Pipeline.run: run context belongs to a different compiled program"
-  | _ -> ());
+  let ctx =
+    match ctx with
+    | None -> Run_ctx.make ~detect ~spec:(engine = `Spec) c
+    | Some x when x.Run_ctx.rc_compiled != c ->
+        invalid_arg
+          "Pipeline.run: run context belongs to a different compiled program"
+    | Some x -> x
+  in
   let config = c.config in
   let events = ref 0 in
   let spec_events = ref 0 in
@@ -376,23 +397,13 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     bump site_ev site;
     f ~tid ~loc ~kind ~locks ~site
   in
-  (* Pooled pieces come from the context, reset at the start of the
-     run; without a context they are created per run as before.  Only
-     the state this run will actually write is reset — a [detect:false]
+  let collector = ctx.Run_ctx.rc_collector in
+  let lock_order = ctx.Run_ctx.rc_lock_order in
+  let immut = ctx.Run_ctx.rc_immut in
+  (* The context's pieces are reset at the start of the run.  Only the
+     state this run will actually write is reset — a [detect:false]
      (fingerprint-only) pass on a shared context must not pay for, or
      disturb, the detector state a detecting run left behind. *)
-  let collector, lock_order, immut =
-    match ctx with
-    | Some x ->
-        if detect && config.Config.detector = Config.Ours then begin
-          Report.reset x.Run_ctx.rc_collector;
-          Lock_order.reset x.Run_ctx.rc_lock_order;
-          Immutability.reset x.Run_ctx.rc_immut
-        end;
-        (x.Run_ctx.rc_collector, x.Run_ctx.rc_lock_order, x.Run_ctx.rc_immut)
-    | None -> (Report.collector (), Lock_order.create (), Immutability.create ())
-  in
-  let finishers = ref [] in
   let sink =
     (* [detect = false] runs the same instrumented program (so the
        schedule is identical — NoDetect compiles without traces and
@@ -400,8 +411,8 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
        counter and the fingerprint remain.  The exploration engine uses
        this for fingerprint-only passes.  NoDetect gets the same sink:
        it has no traces to count, but its sync events still fold. *)
-    match (detect, config.Config.detector) with
-    | false, _ | true, Config.NoDetect ->
+    match (detect, ctx.Run_ctx.rc_detector) with
+    | false, _ | true, Run_ctx.No_detector ->
         {
           Sink.null with
           Sink.access = count (fun ~tid:_ ~loc:_ ~kind:_ ~locks:_ ~site:_ -> ());
@@ -410,24 +421,11 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
           thread_start =
             (fun ~parent ~child -> fp := fp_start !fp ~parent ~child);
         }
-    | true, Config.Ours ->
-        let det =
-          match ctx with
-          | Some { Run_ctx.rc_det = Some det; _ } ->
-              Detector.reset det;
-              det
-          | _ ->
-              Detector.create
-                ~config:
-                  {
-                    Detector.default_config with
-                    Detector.use_cache = config.Config.use_cache;
-                    use_ownership = config.Config.use_ownership;
-                  }
-                collector
-        in
-        finishers :=
-          [ (fun () -> `Ours (Detector.stats det)) ];
+    | true, Run_ctx.Paper det ->
+        Report.reset collector;
+        Lock_order.reset lock_order;
+        Immutability.reset immut;
+        Detector.reset det;
         (* The specialized fast paths.  Installed only under the [`Spec]
            engine when the link phase assigned cells; every path either
            performs exactly the generic per-event work or drops an event
@@ -438,8 +436,8 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
            detector-internal statistics (events_in, filter counters,
            trie sizes) and the immutability summary may differ. *)
         let spec_handler =
-          match (engine, c.image.Link.i_spec) with
-          | `Spec, Some sp ->
+          match (engine, c.image.Link.i_spec, ctx.Run_ctx.rc_spec) with
+          | `Spec, Some sp, Some ss ->
               let classes = sp.Link.sp_cell_class in
               let is_managed = sp.Link.sp_cell_managed in
               (* Memo of packed (loc, kind, locks, tid) keys of events
@@ -454,13 +452,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                  distinct-key count of a run's hot sites, small enough
                  that the per-run refill cost stays negligible for short
                  exploration replays. *)
-              let ss =
-                match ctx with
-                | Some { Run_ctx.rc_spec = Some ss; _ } ->
-                    reset_spec_state ss;
-                    ss
-                | _ -> make_spec_state sp
-              in
+              reset_spec_state ss;
               let memo = ss.ss_memo in
               (* Sro: whether the cell's first event was forwarded. *)
               let ro_seen = ss.ss_ro_seen in
@@ -644,26 +636,10 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
             (fun ~parent ~child -> fp := fp_start !fp ~parent ~child);
           thread_exit = (fun ~tid -> Detector.on_thread_exit det ~thread:tid);
         }
-    | true, ((Config.Eraser | Config.ObjRace | Config.HappensBefore) as dv) -> (
+    | true, Run_ctx.Baseline b ->
         (* Every baseline goes through the registry's Detector_intf.S
-           module — no per-baseline plumbing.  A pooled instance is
-           reset; a fresh one is reset too, which is a no-op. *)
-        let pooled =
-          match ctx with
-          | Some { Run_ctx.rc_baseline = Some p; _ } -> p
-          | _ ->
-              let entry =
-                match Registry.of_detector dv with
-                | Some e -> e
-                | None -> assert false
-              in
-              pool_detector entry.Registry.impl
-        in
-        match pooled with
-        | Pooled ((module D), d) ->
-            D.reset d;
-            finishers := [ (fun () -> `Locs (D.racy_locs d)) ];
-            sink_of_module (module D) d ~wrap_access:count ~fp)
+           module — no per-baseline plumbing. *)
+        b.bl_sink ~count ~fp
   in
   let vm_config =
     match vm with Some v -> v | None -> vm_config_of config
@@ -671,24 +647,22 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
   let sink = match tap with Some t -> Sink.tee sink t | None -> sink in
   let t0 = Unix.gettimeofday () in
   let r =
-    match (engine, ctx) with
+    match engine with
     (* [`Spec] and [`Linked] run the same image; they differ only in
        whether the sink installed a [spec] handler above.  [`Ref] is
-       the frozen block interpreter and is never pooled — the context's
-       detector-side state still is. *)
-    | (`Linked | `Spec), Some x ->
-        Interp.run_ctx ~config:vm_config ~sink x.Run_ctx.rc_vm
-    | (`Linked | `Spec), None -> Interp.run ~config:vm_config ~sink c.image
-    | `Ref, _ -> Interp_ref.run ~config:vm_config ~sink c.prog
+       the frozen block interpreter and never runs on the context's VM
+       state — its detector-side state it still uses. *)
+    | `Linked | `Spec ->
+        Interp.run_ctx ~config:vm_config ~sink ctx.Run_ctx.rc_vm
+    | `Ref -> Interp_ref.run ~config:vm_config ~sink c.prog
   in
   let wall = Unix.gettimeofday () -. t0 in
   let heap = r.Interp.r_heap in
   let racy_locs, detector_stats =
-    match !finishers with
-    | [ f ] -> (
-        match f () with
-        | `Ours stats -> (Report.racy_locs collector, Some stats)
-        | `Locs locs -> (locs, None))
+    match (detect, ctx.Run_ctx.rc_detector) with
+    | true, Run_ctx.Paper det ->
+        (Report.racy_locs collector, Some (Detector.stats det))
+    | true, Run_ctx.Baseline b -> (b.bl_racy_locs (), None)
     | _ -> ([], None)
   in
   let describe = Memloc.describe c.prog.Ir.p_tprog heap in
@@ -783,11 +757,10 @@ let run_source config source =
 (* ---- post-mortem mode (paper Section 1) ---- *)
 
 (* Execute the instrumented program recording the event stream instead
-   of detecting online. *)
-let record_log ?(engine = (`Linked : engine)) (c : compiled) :
-    Event_log.t * Interp.result =
+   of detecting online: a fingerprint-only run with a recording tap. *)
+let record_log ?engine (c : compiled) : Event_log.t * result =
   let log = Event_log.create () in
-  let sink =
+  let tap =
     {
       Sink.access =
         (fun ~tid ~loc ~kind ~locks ~site ->
@@ -810,75 +783,16 @@ let record_log ?(engine = (`Linked : engine)) (c : compiled) :
       spec = None;
     }
   in
-  let r =
-    match engine with
-    (* Recording installs no [spec] handler, so [`Spec] is [`Linked]. *)
-    | `Linked | `Spec ->
-        Interp.run ~config:(vm_config_of c.config) ~sink c.image
-    | `Ref -> Interp_ref.run ~config:(vm_config_of c.config) ~sink c.prog
-  in
+  let r = run ?engine ~tap ~detect:false c in
   (log, r)
 
 (* Run the final detection phase off-line over a recorded log. *)
 let detect_post_mortem (config : Config.t) (log : Event_log.t) :
     Report.collector * Detector.stats =
   let collector = Report.collector () in
-  let det =
-    Detector.create
-      ~config:
-        {
-          Detector.default_config with
-          Detector.use_cache = config.Config.use_cache;
-          use_ownership = config.Config.use_ownership;
-        }
-      collector
-  in
+  let det = Detector.create ~config:(detector_config_of config) collector in
   Event_log.replay log det;
   (collector, Detector.stats det)
-
-(* ---- uniform Detector_intf.S driving (registry / arena) ---- *)
-
-type module_run = {
-  m_races : string list; (* decoded racy location names, sorted *)
-  m_race_count : int;
-  m_events : int;
-  m_steps : int;
-}
-
-(* Run a compiled program with any detector module behind
-   Detector_intf.S — the one code path the differential arena uses for
-   every technique, paper detector included.  The compile-time
-   configuration (granularity, pseudo-locks, schedule) still comes from
-   [c.config] / [?vm]; the module only decides what to do with the
-   event stream. *)
-let run_module ?vm ?(engine = (`Spec : engine))
-    (module D : Detector_intf.S) (c : compiled) : module_run =
-  let d = D.create () in
-  let events = ref 0 in
-  let sink =
-    sink_of_module
-      (module D)
-      d
-      ~wrap_access:(fun f ~tid ~loc ~kind ~locks ~site ->
-        incr events;
-        f ~tid ~loc ~kind ~locks ~site)
-      ~fp:(ref Sink.fnv_offset)
-  in
-  let vm_config = match vm with Some v -> v | None -> vm_config_of c.config in
-  let r =
-    match engine with
-    (* No spec handler is installed for module-driven runs, so [`Spec]
-       executes the image generically, exactly like [`Linked]. *)
-    | `Linked | `Spec -> Interp.run ~config:vm_config ~sink c.image
-    | `Ref -> Interp_ref.run ~config:vm_config ~sink c.prog
-  in
-  let describe = Memloc.describe c.prog.Ir.p_tprog r.Interp.r_heap in
-  {
-    m_races = D.racy_locs d |> List.map describe |> List.sort compare;
-    m_race_count = D.race_count d;
-    m_events = !events;
-    m_steps = r.Interp.r_steps;
-  }
 
 (* Post-mortem replay of a recorded log through any detector module:
    the generic sibling of {!detect_post_mortem} (which keeps the paper

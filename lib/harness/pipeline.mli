@@ -98,24 +98,27 @@ val vm_config_of : Config.t -> Interp.config
 (** The VM configuration a harness configuration denotes (seed, quantum,
     granularity, pseudo-locks, scheduling policy). *)
 
+val detector_config_of : Config.t -> Detector.config
+(** The paper detector's knobs a harness configuration selects (cache,
+    ownership): the one place a run, a post-mortem replay and a serve
+    session get their detector configuration from. *)
+
 (** A resettable per-worker run context: every piece of mutable state a
     {!run} needs — the VM context (heap, thread/monitor tables, PCT
     priorities), the detector with its tries, caches and ownership
     table, the report collector, lock-order graph, immutability tracker
     and (when the image carries static facts) the specialized-trace
     scratch — allocated once and reset in place at the start of each
-    run.  A run with a context is byte-identical to one without; only
-    the allocation behaviour differs.  Contexts are single-domain and
-    bound to the [compiled] they were created from. *)
+    run.  A {!run} without a context runs on a fresh one, so a run with
+    a context is byte-identical to one without; only the allocation
+    behaviour differs.  Contexts are single-domain and bound to the
+    [compiled] they were created from. *)
 module Run_ctx : sig
   type t
 
   val create : compiled -> t
   (** Allocate a context sized for [compiled]'s configuration: the
       detector matching [config.detector], plus VM and spec state. *)
-
-  val compiled : t -> compiled
-  (** The program this context is bound to. *)
 end
 
 val run :
@@ -143,14 +146,19 @@ val run :
     [?site_stats:true] additionally counts events and fast-path drops
     per trace site (a small per-event cost; off by default).
 
-    [?ctx] runs inside a pooled {!Run_ctx.t} instead of allocating fresh
-    state: the context is reset at the start of the run, and the report
-    is byte-identical to a fresh-context run.  The returned [heap] and
-    [report] alias the context's state — read them before the next run
-    on the same context.  Raises [Invalid_argument] if [ctx] was created
-    from a different [compiled].  If the run raises
-    {!Interp.Runtime_error}, the context stays valid and fully resets on
-    its next use. *)
+    The configuration's detector decides what runs: the paper detector
+    (with the specialized fast paths under [`Spec]), a baseline through
+    its {!Registry} module ([result.races] holds its racy locations,
+    [report] and [detector_stats] are [None]), or none.
+
+    [?ctx] runs inside a pooled {!Run_ctx.t}: the context is reset at
+    the start of the run.  Without it the run makes a fresh context for
+    itself — under [~detect:false] one without the detector and the
+    spec memos.  The returned [heap] and [report] alias the context's
+    state — read them before the next run on the same context.  Raises
+    [Invalid_argument] if [ctx] was created from a different
+    [compiled].  If the run raises {!Interp.Runtime_error}, the context
+    stays valid and fully resets on its next use. *)
 
 val run_source : Config.t -> string -> compiled * result
 
@@ -163,39 +171,19 @@ val static_peers_of_site : compiled -> Drd_core.Event.site_id -> string list
     ["Class.method:line (write f)"].  Empty when static analysis was
     not run. *)
 
-val record_log : ?engine:engine -> compiled -> Event_log.t * Interp.result
+val record_log : ?engine:engine -> compiled -> Event_log.t * result
 (** Post-mortem mode, phase 1 (paper Section 1): execute the
     instrumented program recording the full event stream instead of
-    detecting online.  [?engine] as in {!run}. *)
+    detecting online — a [~detect:false] {!run} with a recording tap,
+    so the result carries the run's steps, threads, prints and
+    fingerprint, and no races.  [?engine] as in {!run}; with the
+    detector off, [`Spec] runs exactly like [`Linked]. *)
 
 val detect_post_mortem :
   Config.t -> Event_log.t -> Report.collector * Detector.stats
 (** Post-mortem mode, phase 2: run the detection phase off-line over a
     recorded log.  Produces exactly the online reports for the same
     configuration. *)
-
-type module_run = {
-  m_races : string list;
-      (** Decoded racy location names, sorted (one per location). *)
-  m_race_count : int;
-  m_events : int;  (** Access events emitted by the program. *)
-  m_steps : int;  (** Instructions executed. *)
-}
-
-val run_module :
-  ?vm:Interp.config ->
-  ?engine:engine ->
-  (module Detector_intf.S) ->
-  compiled ->
-  module_run
-(** Execute a compiled program with {e any} detector behind
-    {!Detector_intf.S} — the one code path the differential arena uses
-    for every technique, the paper detector
-    ({!Detector.Standard}) included.  Granularity, pseudo-locks and the
-    schedule still come from [compiled.config] (override with [?vm]);
-    the module only consumes the event stream.  Module-driven runs
-    install no specialized-trace handler, so [`Spec] behaves exactly
-    like [`Linked]. *)
 
 val replay_module :
   (module Detector_intf.S) -> Event_log.t -> Event.loc_id list * int

@@ -2,6 +2,7 @@ module Detector = Drd_core.Detector
 module Event_log = Drd_core.Event_log
 module Report = Drd_core.Report
 module Config = Drd_harness.Config
+module Pipeline = Drd_harness.Pipeline
 module Explore = Drd_explore.Explore
 module Aggregate = Drd_explore.Aggregate
 
@@ -37,19 +38,27 @@ type pool = {
 
 let pool () = { p_entries = [] }
 
+(* An events session runs the paper detector: its report body is that
+   detector's collector and funnel statistics.  A configuration that
+   selects a baseline technique is refused rather than silently run as
+   the paper detector. *)
+let events_config (config : Config.t) =
+  match config.Config.detector with
+  | Config.Eraser | Config.ObjRace | Config.HappensBefore ->
+      Error
+        (Printf.sprintf
+           "configuration %s selects a baseline detector; events sessions \
+            run the paper detector only"
+           config.Config.name)
+  | Config.Ours | Config.NoDetect -> Ok config
+
 let create ?pool ~id ~kind ~config ~eviction () =
   let state =
     match kind with
     | Protocol.Events ->
         (* Mirror the one-shot post-mortem path (Pipeline.detect_post_mortem):
            same knobs, Per_location history — which eviction requires. *)
-        let dconfig =
-          {
-            Detector.default_config with
-            use_cache = config.Config.use_cache;
-            use_ownership = config.Config.use_ownership;
-          }
-        in
+        let dconfig = Pipeline.detector_config_of config in
         let fresh () =
           let collector = Report.collector () in
           let detector = Detector.create ~config:dconfig ?eviction collector in
@@ -139,42 +148,18 @@ let feed_substring t s pos len =
 
 let feed_line t line = feed_substring t line 0 (String.length line)
 
-(* The same refusals [racedet merge] gives for a broken shard set:
-   duplicate run indices would double-count sightings; gaps under a
-   purely runs-based budget mean the stream was truncated. *)
+(* The same refusals [racedet merge] gives for a broken shard set. *)
 let check_rows spec rows =
-  let seen = Hashtbl.create 64 in
-  let dup =
-    List.find_opt
-      (fun row ->
-        let i = Aggregate.row_index row in
-        if i < 0 then false
-        else if Hashtbl.mem seen i then true
-        else begin
-          Hashtbl.add seen i ();
-          false
-        end)
-      rows
-  in
-  match dup with
-  | Some row ->
+  match Explore.check_shard_set spec rows with
+  | Error (Explore.Duplicate_index i) ->
       Error
-        (Printf.sprintf "run index %d appears more than once in the stream"
-           (Aggregate.row_index row))
-  | None -> (
-      let missing = Explore.missing_indices spec rows in
-      let b = spec.Explore.e_budget in
-      let pure_runs_budget =
-        b.Explore.b_seconds = None && b.Explore.b_plateau = None
-      in
-      match missing with
-      | _ :: _ when pure_runs_budget ->
-          Error
-            (Printf.sprintf
-               "%d of %d run indices missing — truncated stream? refusing \
-                to fold"
-               (List.length missing) b.Explore.b_runs)
-      | _ -> Ok ())
+        (Printf.sprintf "run index %d appears more than once in the stream" i)
+  | Error (Explore.Missing_indices missing) ->
+      Error
+        (Printf.sprintf
+           "%d of %d run indices missing — truncated stream? refusing to fold"
+           (List.length missing) spec.Explore.e_budget.Explore.b_runs)
+  | Ok _ -> Ok ()
 
 let close t =
   match t.state with

@@ -27,6 +27,14 @@ type pool
 
 val pool : unit -> pool
 
+val events_config :
+  Drd_harness.Config.t -> (Drd_harness.Config.t, string) result
+(** [Ok config] when an [Events] session can run [config]; [Error] with
+    a diagnostic when it selects a baseline technique, which events
+    sessions do not run (they run the paper detector).  The daemon
+    answers such a [hello] with an error frame, and [racedet serve -c]
+    exits as for any misuse. *)
+
 val create :
   ?pool:pool ->
   id:string ->
@@ -36,7 +44,9 @@ val create :
   unit ->
   t
 (** [config] supplies the detector knobs ([use_cache],
-    [use_ownership]); the history is always [Per_location], the
+    [use_ownership], through {!Drd_harness.Pipeline.detector_config_of});
+    check it with {!events_config} first.  The history is always
+    [Per_location], the
     representation eviction requires.  [?pool] reuses the connection's
     pooled detector state for an [Events] session; the session's frames
     and report are byte-identical with or without it. *)

@@ -216,8 +216,25 @@ let test_deterministic () =
 (* The 200-program seed-42 corpus that CI's arena step scores. *)
 let corpus_opts = { quick_opts with A.o_count = 200 }
 
+(* The MD5 of that corpus's JSON report.  It pins every tally, pair and
+   miss, so a change to how the arena runs programs must leave them as
+   they were; a change that means to alter the report replaces this
+   digest and says why. *)
+let corpus_report_md5 = "8e5d09695fa267230166db8e1a3a6d97"
+
 let test_corpus_scores () =
   let r = A.run corpus_opts in
+  let json = A.to_json r in
+  let md5 = Digest.to_hex (Digest.string json) in
+  if md5 <> corpus_report_md5 then begin
+    let oc = open_out_bin "arena_corpus.actual" in
+    output_string oc json;
+    close_out oc;
+    Alcotest.failf
+      "arena report changed: MD5 %s, recorded %s (current report in \
+       arena_corpus.actual)"
+      md5 corpus_report_md5
+  end;
   let t name = List.find (fun t -> t.A.t_name = name) r.A.r_tallies in
   List.iter
     (fun name ->

@@ -108,6 +108,13 @@ let test_cli_misuse_is_exit_124 () =
   Alcotest.(check int) "inverted watermarks: exit 124" 124 code;
   let code, _, _ = run [ "serve"; "--evict-low"; "3" ] in
   Alcotest.(check int) "low without high: exit 124" 124 code;
+  (* serve runs the paper detector: a baseline configuration is refused,
+     not silently replaced. *)
+  let code, out, err = run ~stdin:good_log [ "serve"; "-c"; "Eraser" ] in
+  Alcotest.(check int) "serve -c Eraser: exit 124" 124 code;
+  Alcotest.(check string) "serve -c Eraser: nothing served" "" out;
+  Alcotest.(check bool) "serve -c Eraser: racedet: diagnostic" true
+    (contains err "racedet: configuration Eraser");
   let code, _, err = run [ "run"; "-b"; "figure2"; "--detector"; "nosuch" ] in
   Alcotest.(check int) "unknown detector: exit 124" 124 code;
   Alcotest.(check bool) "diagnostic lists the registry" true
@@ -295,6 +302,55 @@ let test_serve_stdin_malformed_is_exit_2 () =
     (contains out "\"t\":\"error\"");
   Alcotest.(check bool) "diagnostic on stderr" true (contains err "racedet:")
 
+(* A recorded figure2 log in a temporary file. *)
+let with_recorded_log f =
+  let path = Filename.temp_file "drd_cli_fig2" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let code, _, _ = run [ "record"; "-b"; "figure2"; "-o"; path ] in
+      Alcotest.(check int) "record exit 0" 0 code;
+      f path)
+
+let test_detect_config_selects_baseline () =
+  (* [-c NAME] and [--detector name] resolve to one configuration, so a
+     baseline named either way replays the same registry module. *)
+  with_recorded_log (fun log ->
+      List.iter
+        (fun (config, detector) ->
+          let code, by_config, _ =
+            run [ "detect"; log; "-c"; config; "--json" ]
+          in
+          Alcotest.(check int) (config ^ ": exit 0") 0 code;
+          let code, by_detector, _ =
+            run [ "detect"; log; "--detector"; detector; "--json" ]
+          in
+          Alcotest.(check int) (detector ^ ": exit 0") 0 code;
+          Alcotest.(check string)
+            ("-c " ^ config ^ " = --detector " ^ detector)
+            by_detector by_config)
+        [
+          ("Eraser", "eraser");
+          ("ObjRace", "objrace");
+          ("HappensBefore", "vclock");
+        ])
+
+let test_merge_refuses_duplicate_index () =
+  let obs = Filename.temp_file "drd_cli_shard" ".obs" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove obs)
+    (fun () ->
+      let code, _, _ =
+        run
+          [ "explore"; "-b"; "needle"; "-s"; "pct"; "-n"; "4"; "--emit-obs"; obs ]
+      in
+      Alcotest.(check int) "explore exit 0" 0 code;
+      let code, out, err = run [ "merge"; obs; obs ] in
+      Alcotest.(check int) "exit 2" 2 code;
+      Alcotest.(check string) "no report" "" out;
+      Alcotest.(check bool) "names the index" true
+        (contains err "run index 0 appears in more than one input"))
+
 let suite =
   [
     Alcotest.test_case "detect --json: clean stdout, exit 0" `Quick (fun () ->
@@ -321,4 +377,8 @@ let suite =
       (fun () -> test_runtime_error_is_exit_124 ());
     Alcotest.test_case "heap and call-depth limits are exit 124" `Quick
       (fun () -> test_resource_limits_are_exit_124 ());
+    Alcotest.test_case "detect -c BASELINE replays that baseline" `Quick
+      test_detect_config_selects_baseline;
+    Alcotest.test_case "merge refuses a duplicated run index" `Quick
+      test_merge_refuses_duplicate_index;
   ]

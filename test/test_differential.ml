@@ -157,7 +157,7 @@ let prop_optimized_pipeline_sound =
       let log, rec_result = H.Pipeline.record_log recording in
       let describe =
         Drd_vm.Memloc.describe recording.H.Pipeline.prog.Drd_ir.Ir.p_tprog
-          rec_result.Drd_vm.Interp.r_heap
+          rec_result.H.Pipeline.heap
       in
       let oracle = List.map describe (oracle_racy_locs log) in
       (* The optimized pipeline with ownership off. *)

@@ -200,9 +200,24 @@ let test_obs_session_errors () =
   (match rows with
   | row :: _ -> ignore (feed_ok s (E.Explore.row_to_json row))
   | [] -> Alcotest.fail "campaign produced no rows");
-  match S.Session.close s with
+  (match S.Session.close s with
   | Error m -> Alcotest.(check bool) "truncation refused" true (contains m "missing")
-  | Ok _ -> Alcotest.fail "truncated obs stream folded"
+  | Ok _ -> Alcotest.fail "truncated obs stream folded");
+  (* A row fed twice would double-count its sightings: refused, like
+     racedet merge refuses overlapping shards. *)
+  let s =
+    S.Session.create ~id:"o3" ~kind:S.Protocol.Obs ~config:H.Config.full
+      ~eviction:None ()
+  in
+  ignore (feed_ok s (E.Explore.spec_to_json sp));
+  List.iter
+    (fun row -> ignore (feed_ok s (E.Explore.row_to_json row)))
+    (List.hd rows :: rows);
+  match S.Session.close s with
+  | Error m ->
+      Alcotest.(check bool) "duplicate refused" true
+        (contains m "run index 0 appears more than once")
+  | Ok _ -> Alcotest.fail "duplicated obs row folded"
 
 (* ---- the stdin/stdout transport ---- *)
 
@@ -296,6 +311,26 @@ let test_serve_channels_errors () =
   (match r with
   | Error m -> Alcotest.(check bool) "unknown config refused" true (contains m "NoSuch")
   | Ok () -> Alcotest.fail "unknown config accepted");
+  (* An events session runs the paper detector: a hello naming a
+     baseline configuration is refused, never silently substituted. *)
+  let hello =
+    S.Protocol.control_to_line
+      (S.Protocol.Hello
+         {
+           c_session = "b";
+           c_kind = S.Protocol.Events;
+           c_config = "HappensBefore";
+         })
+  in
+  let r, out = serve_string default_conf (hello ^ "\nA 1 1 W 0\n") in
+  (match r with
+  | Error m ->
+      Alcotest.(check bool) "baseline config refused" true
+        (contains m "HappensBefore")
+  | Ok () -> Alcotest.fail "baseline config accepted");
+  Alcotest.(check bool) "baseline hello: error frame, no session" true
+    (List.exists (fun l -> contains l "\"t\":\"error\"") out
+    && not (List.exists (fun l -> contains l "\"t\":\"hello\"") out));
   (* Double hello. *)
   let h =
     S.Protocol.control_to_line

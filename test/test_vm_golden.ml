@@ -310,14 +310,14 @@ let test_record_log ~case name source () =
   pinned case @@ fun buf ->
   let log_ref, r_ref = Pipeline.record_log ~engine:`Ref compiled in
   render_log buf (Event_log.entries log_ref);
-  Printf.bprintf buf "steps %d threads %d\n" r_ref.Interp.r_steps
-    r_ref.Interp.r_max_threads;
-  render_prints buf r_ref.Interp.r_prints;
+  Printf.bprintf buf "steps %d threads %d\n" r_ref.Pipeline.steps
+    r_ref.Pipeline.threads;
+  render_prints buf r_ref.Pipeline.prints;
   let log_lin, r_lin = Pipeline.record_log ~engine:`Linked compiled in
   check_logs (name ^ " record_log") (Event_log.entries log_ref)
     (Event_log.entries log_lin);
   Alcotest.(check int)
-    (name ^ " record_log steps") r_ref.Interp.r_steps r_lin.Interp.r_steps
+    (name ^ " record_log steps") r_ref.Pipeline.steps r_lin.Pipeline.steps
 
 (* ---- PCT identity across quanta, depths and generated programs ----
 
