@@ -14,7 +14,13 @@
      analyze  run only the static datarace analysis and report its
               statistics;
      ir       dump the (optionally instrumented/optimized) IR;
-     list     list built-in benchmarks and configurations.
+     record   execute a program recording its event log (post-mortem
+              phase 1);
+     detect   run the detection phase offline over a recorded log
+              (post-mortem phase 2);
+     arena    differential testing of the registered detectors on
+              generated programs with ground-truth labels;
+     list     list built-in benchmarks, configurations and detectors.
 
    Exit codes: 0 success; 2 malformed input data (event logs,
    observation files, protocol streams); 124 command-line misuse,
@@ -57,8 +63,8 @@ let or_compile_error f =
    division by zero, null dereference, deadlock, step limit) is the
    user's program at fault too, so [run] and [record] give it the same
    exit 124 with the VM's diagnostic.  Nothing reaches stdout: both
-   commands print only after the run returns.  Campaigns ([explore],
-   [sweep]) keep reporting such runs as failure rows. *)
+   commands print only after the run returns.  Campaigns ([explore])
+   keep reporting such runs as failure rows. *)
 let or_runtime_error f =
   try f ()
   with Drd_vm.Interp.Runtime_error msg -> `Error (false, "runtime error: " ^ msg)
@@ -626,9 +632,9 @@ let read_log log_file =
    module — the generic sibling of the paper detector's post-mortem
    phase below.  Site/location names are not part of the log, so
    locations print by id. *)
-let detect_replay_module (e : H.Registry.entry) log_file json =
+let detect_replay_module (e : H.Registry.entry) m log_file json =
   let log = read_log log_file in
-  let racy, events = H.Pipeline.replay_module e.H.Registry.impl log in
+  let racy, events = H.Pipeline.replay_module m log in
   if json then
     print_endline
       (W.json_to_string
@@ -659,9 +665,11 @@ let detect_impl log_file config_name detector pairs benchmark json =
   match resolve_config config_name detector 42 with
   | Error e -> `Error (false, e)
   | Ok config -> (
-    match H.Registry.of_detector config.H.Config.detector with
-    | Some e when e.H.Registry.detector <> H.Config.Ours ->
-      detect_replay_module e log_file json
+    match
+      ( H.Registry.of_detector config.H.Config.detector,
+        H.Registry.baseline config.H.Config.detector )
+    with
+    | Some e, Some m -> detect_replay_module e m log_file json
     | _ -> (
     match read_log log_file with
     | log when json ->
@@ -749,74 +757,6 @@ let detect_cmd =
       ret
         (const detect_impl $ log_file $ config_arg $ detector_arg $ pairs
        $ bench_for_names $ json_arg))
-
-(* ---- sweep: the legacy seed sweep (now a thin campaign) ---- *)
-
-let sweep_impl file benchmark config_name nseeds seed json =
-  match load_source file benchmark with
-  | Error e -> `Error (false, e)
-  | Ok source -> (
-      match config_of_name config_name seed with
-      | Error e -> `Error (false, e)
-      | Ok config ->
-          let seeds = List.init nseeds (fun i -> i + 1) in
-          let { E.Explore.sw_objects = rows; sw_failures = failures } =
-            E.Explore.sweep config ~source ~seeds
-          in
-          if json then
-            print_endline
-              (W.json_to_string
-                 (W.Obj
-                    [
-                      ("config", W.String config.H.Config.name);
-                      ("schedules", W.Int nseeds);
-                      ( "objects",
-                        W.List
-                          (List.map
-                             (fun (obj, n) ->
-                               W.Obj
-                                 [
-                                   ("object", W.String obj);
-                                   ("runs_reporting", W.Int n);
-                                 ])
-                             rows) );
-                      ( "failures",
-                        W.List
-                          (List.map
-                             (fun (seed, e) ->
-                               W.Obj
-                                 [
-                                   ("seed", W.Int seed);
-                                   ("error", W.String e);
-                                 ])
-                             failures) );
-                    ]))
-          else begin
-            Fmt.pr "racy objects over %d schedules (%s):@." nseeds
-              config.H.Config.name;
-            if rows = [] then Fmt.pr "  (none)@.";
-            List.iter
-              (fun (obj, n) -> Fmt.pr "  %4d/%d  %s@." n nseeds obj)
-              rows;
-            List.iter
-              (fun (seed, e) -> Fmt.pr "  seed %d FAILED: %s@." seed e)
-              failures
-          end;
-          `Ok ())
-
-let sweep_cmd =
-  let doc = "run across many scheduler seeds and aggregate the reports" in
-  let nseeds =
-    Arg.(
-      value & opt int 10
-      & info [ "n"; "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc)
-    Term.(
-      ret
-        (const sweep_impl $ file_arg $ benchmark_arg $ config_arg $ nseeds
-       $ seed_arg $ json_arg))
 
 (* ---- explore: the parallel schedule-exploration campaign ---- *)
 
@@ -1374,7 +1314,7 @@ let list_impl () =
   Fmt.pr "@.Detectors (run/detect/arena --detector):@.";
   List.iter
     (fun (e : H.Registry.entry) ->
-      Fmt.pr "  %-8s %s%s@." e.H.Registry.name (H.Registry.describe e)
+      Fmt.pr "  %-8s %s%s@." e.H.Registry.name e.H.Registry.describe
         (match e.H.Registry.aliases with
         | [] -> ""
         | a -> Printf.sprintf " (aliases: %s)" (String.concat ", " a)))
@@ -1408,7 +1348,6 @@ let () =
             ir_cmd;
             record_cmd;
             detect_cmd;
-            sweep_cmd;
             arena_cmd;
             list_cmd;
           ]))

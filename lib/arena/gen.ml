@@ -119,8 +119,6 @@ let all_idioms =
     Hidden_race;
   ]
 
-let idiom_of_name n = List.find_opt (fun i -> idiom_name i = n) all_idioms
-
 let pp_unit ppf u =
   Fmt.pf ppf "u%d:%s x%d" u.u_id (idiom_name u.u_idiom) u.u_iters
 

@@ -57,7 +57,6 @@ val make_unit : id:int -> idiom:idiom -> iters:int -> unit_spec
 
 val idiom_name : idiom -> string
 val all_idioms : idiom list
-val idiom_of_name : string -> idiom option
 val pp_unit : Format.formatter -> unit_spec -> unit
 val pp_spec : Format.formatter -> spec -> unit
 

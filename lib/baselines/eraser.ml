@@ -98,12 +98,6 @@ let on_access_interned d ~loc ~thread ~locks ~kind ~site =
    synchronization order (no join edges — the documented imprecision),
    so every hook below is a no-op. *)
 
-let id = "eraser"
-
-let describe =
-  "Eraser lockset discipline (Savage et al. 1997): one common lock \
-   across all accesses, no fork/join modeling"
-
 let needs_call_events = false
 
 let on_call _ ~thread:_ ~obj_loc:_ ~locks:_ ~site:_ = ()

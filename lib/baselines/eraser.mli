@@ -47,10 +47,6 @@ val on_access_interned :
     scalars.  No [Event.t] is allocated unless the access reports a
     race. *)
 
-val id : string
-
-val describe : string
-
 val needs_call_events : bool
 (** [false]: Eraser ignores virtual-call receiver events. *)
 

@@ -144,12 +144,6 @@ let on_access_interned d ~loc ~thread ~locks:_ ~kind ~site =
 
 (* Detector_intf.S plumbing. *)
 
-let id = "vclock"
-
-let describe =
-  "Vector-clock happens-before detection (Djit/TRaDe style): precise \
-   for the observed order, misses schedule-hidden feasible races"
-
 let needs_call_events = false
 
 let on_call _ ~thread:_ ~obj_loc:_ ~locks:_ ~site:_ = ()

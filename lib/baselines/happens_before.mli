@@ -36,10 +36,6 @@ val on_access_interned :
     and reported events carry the empty lockset so reports never vary
     with instrumentation details the algorithm does not read. *)
 
-val id : string
-
-val describe : string
-
 val needs_call_events : bool
 (** [false]. *)
 

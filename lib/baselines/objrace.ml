@@ -79,12 +79,6 @@ let on_call d ~thread ~obj_loc ~locks ~site =
    an invocation as a write to the receiver is what defines the
    technique (and what floods hedc with spurious reports). *)
 
-let id = "objrace"
-
-let describe =
-  "Object race detection (von Praun & Gross 2001): per-object \
-   granularity, virtual calls count as writes to the receiver"
-
 let needs_call_events = true
 
 let on_acquire _ ~thread:_ ~lock:_ = ()

@@ -39,10 +39,6 @@ val on_access_interned :
     scalars.  No [Event.t] is allocated unless the access reports a
     race. *)
 
-val id : string
-
-val describe : string
-
 val needs_call_events : bool
 (** [true]: virtual-call receiver events are what distinguish the
     technique — the driver must route them to {!on_call}. *)

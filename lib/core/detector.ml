@@ -397,47 +397,3 @@ let pp_stats ppf (s : stats) =
      reported:     %d@ locations tracked:  %d@ trie nodes:         %d@]"
     s.events_in s.cache_hits s.ownership_filtered s.weaker_filtered
     s.race_checks s.races_reported s.locations_tracked s.trie_nodes
-
-(* The paper detector packaged behind the common detector interface:
-   a Full-configuration detector bundled with its own report collector
-   so that [create : unit -> t] holds.  Fork/join ordering is modeled
-   by the join pseudo-locks the VM folds into each access's lockset,
-   not by explicit edges, so the start/join hooks are no-ops here. *)
-module Standard = struct
-  type nonrec t = { det : t; coll : Report.collector }
-
-  let id = "paper"
-
-  let describe =
-    "The paper's detector (Choi et al. 2002): trie histories, \
-     weaker-than filtering, ownership model, join pseudo-locks"
-
-  let needs_call_events = false
-
-  let create () =
-    let coll = Report.collector () in
-    { det = create coll; coll }
-
-  let on_access_interned d ~loc ~thread ~locks ~kind ~site =
-    on_access_interned d.det ~loc ~thread ~locks ~kind ~site
-
-  let on_call _ ~thread:_ ~obj_loc:_ ~locks:_ ~site:_ = ()
-
-  let on_acquire d ~thread ~lock = on_acquire d.det ~thread ~lock
-
-  let on_release d ~thread ~lock = on_release d.det ~thread ~lock
-
-  let on_thread_start _ ~parent:_ ~child:_ = ()
-
-  let on_thread_join _ ~joiner:_ ~joinee:_ = ()
-
-  let on_thread_exit d ~thread = on_thread_exit d.det ~thread
-
-  let reset d =
-    reset d.det;
-    Report.reset d.coll
-
-  let racy_locs d = Report.racy_locs d.coll
-
-  let events_seen d = (stats d.det).events_in
-end

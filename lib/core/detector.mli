@@ -160,13 +160,3 @@ val was_evicted : t -> Event.loc_id -> bool
 val stats : t -> stats
 
 val pp_stats : stats Fmt.t
-
-module Standard : Detector_intf.S
-(** The paper detector behind the common {!Detector_intf.S} shape: a
-    [default_config] detector bundled with a private report collector.
-    Fork/join ordering is modeled by the join pseudo-locks the event
-    source folds into each lockset — the explicit start/join hooks are
-    no-ops.  The harness's primary path ({!Drd_harness.Pipeline.run})
-    still drives {!t} directly for stats, immutability and lock-order
-    side analyses; [Standard] is the uniform face the detector registry
-    and the differential arena program against. *)

@@ -4,9 +4,8 @@
     against for the baselines, online and post-mortem: one constructor,
     one scalar access entry point, the synchronization hooks the VM can
     emit, and report extraction.  The baselines in [Drd_baselines]
-    satisfy it directly; {!Detector.Standard} packages the paper
-    detector this way for the registry, though runs drive the paper
-    detector itself, through its specialized fast paths.
+    satisfy it; runs drive the paper detector itself, through its
+    specialized fast paths.
 
     Hooks a detector does not use are required to be no-ops rather than
     absent — the driver installs every callback unconditionally and the
@@ -19,12 +18,6 @@
 
 module type S = sig
   type t
-
-  val id : string
-  (** Registry name, e.g. ["paper"] or ["eraser"]. *)
-
-  val describe : string
-  (** One-line human description for [racedet list]. *)
 
   val needs_call_events : bool
   (** Whether {!on_call} does anything: when [false] the driver may

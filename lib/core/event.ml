@@ -56,11 +56,6 @@ let weaker_than p q =
   && p.thread = q.thread
   && kind_leq p.kind q.kind
 
-let stored_weaker_than ~thread ~kind ~locks q =
-  Lockset_id.subset locks q.locks
-  && thread_leq thread (Thread q.thread)
-  && kind_leq kind q.kind
-
 let pp_kind ppf = function
   | Read -> Fmt.string ppf "read"
   | Write -> Fmt.string ppf "write"

@@ -120,11 +120,6 @@ val weaker_than : t -> t -> bool
     holds, every future race with [q] is also a race with [p]
     (Theorem 1), so [q] carries no information for detection. *)
 
-val stored_weaker_than :
-  thread:thread_info -> kind:kind -> locks:Lockset_id.id -> t -> bool
-(** Weaker-than where the earlier access is a stored history entry whose
-    thread may have degraded to {!Bot}. *)
-
 val pp_kind : kind Fmt.t
 
 val pp_thread_info : thread_info Fmt.t

@@ -309,11 +309,3 @@ let equal_entry a b =
   match (a, b) with
   | Access x, Access y -> Event.equal x y
   | x, y -> x = y
-
-let pp_entry ppf = function
-  | Access e -> Fmt.pf ppf "access %a" Event.pp e
-  | Acquire (t, l) -> Fmt.pf ppf "T%d acquires %d" t l
-  | Release (t, l) -> Fmt.pf ppf "T%d releases %d" t l
-  | Thread_start (p, c) -> Fmt.pf ppf "T%d starts T%d" p c
-  | Thread_join (j, e) -> Fmt.pf ppf "T%d joins T%d" j e
-  | Thread_exit t -> Fmt.pf ppf "T%d exits" t

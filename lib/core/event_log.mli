@@ -61,5 +61,3 @@ val of_channel : in_channel -> t
 
 val equal_entry : entry -> entry -> bool
 (** Structural equality with set semantics for locksets. *)
-
-val pp_entry : entry Fmt.t

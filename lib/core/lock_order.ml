@@ -70,8 +70,6 @@ let on_release t ~thread ~lock =
       in
       Hashtbl.replace t.held thread (drop held)
 
-let edge_count t = Hashtbl.length t.edges
-
 let potential_deadlocks t =
   let seen = Hashtbl.create 8 in
   let reports = ref [] in

@@ -35,5 +35,3 @@ val potential_deadlocks : t -> report list
     common gate lock, each reported once (with [dl_locks] sorted).
     Longer cycles are reported conservatively (without the gate-lock
     refinement). *)
-
-val edge_count : t -> int

@@ -29,12 +29,6 @@ let clear h =
   h.root.children <- [];
   h.nodes <- 1
 
-let summary_count h =
-  let rec go n acc =
-    List.fold_left (fun acc c -> go c acc) (acc + Hashtbl.length n.summaries) n.children
-  in
-  go h.root 0
-
 let locations h =
   let locs = Hashtbl.create 64 in
   let rec go n =

@@ -11,8 +11,7 @@
 
     The per-event protocol is observationally identical to
     {!Trie.process} on a per-location trie (property-tested); only the
-    space changes — see {!node_count} vs {!summary_count} and the
-    [--space] bench. *)
+    space changes — see {!node_count} and the [--space] bench. *)
 
 type t
 
@@ -30,10 +29,6 @@ val clear : t -> unit
 (** Return the packed trie to its freshly-created state in place: the
     root's summary table keeps its bucket capacity, so a reused trie
     observes identically to a fresh one but without the rebuild cost. *)
-
-val summary_count : t -> int
-(** Per-(lockset, location) access summaries stored — the analogue of
-    the non-[Top] nodes of the per-location tries. *)
 
 val locations : t -> int
 (** Distinct locations with at least one stored summary. *)

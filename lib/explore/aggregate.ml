@@ -55,7 +55,6 @@ type run_obs = {
   o_spec : string; (* human description of the schedule *)
   o_repro : string; (* racedet run flags replaying it *)
   o_sightings : sighting list;
-  o_objects : string list; (* raw racy-object names (sweep compat) *)
   o_fingerprint : int;
   o_hb_fingerprint : int option; (* happens-before class (hb campaigns) *)
   o_events : int;
@@ -106,7 +105,6 @@ type t = {
   fingerprints : (int, int) Hashtbl.t; (* fingerprint -> runs showing it *)
   equiv_keys : (int, unit) Hashtbl.t; (* equivalence classes folded so far *)
   mutable pruned : int; (* runs whose class was already seen (hb only) *)
-  object_counts : (string, int) Hashtbl.t;
   mutable discovery : (int * int) list; (* (run idx, cumulative races), rev *)
   mutable events : int;
   mutable steps : int;
@@ -127,7 +125,6 @@ let create ?plateau ?(hb = false) () =
     fingerprints = Hashtbl.create 64;
     equiv_keys = Hashtbl.create 64;
     pruned = 0;
-    object_counts = Hashtbl.create 32;
     discovery = [];
     events = 0;
     steps = 0;
@@ -170,11 +167,6 @@ let add_run t (o : run_obs) =
       if t.hb then t.pruned <- t.pruned + 1
     end
     else Hashtbl.add t.equiv_keys equiv_key ();
-    List.iter
-      (fun obj ->
-        Hashtbl.replace t.object_counts obj
-          (1 + Option.value (Hashtbl.find_opt t.object_counts obj) ~default:0))
-      o.o_objects;
     let new_race = ref false in
     (* A run can sight the same key through several racy locations (two
        objects of one class); count it once per run. *)
@@ -231,11 +223,6 @@ let races t =
          match compare b.d_count a.d_count with
          | 0 -> compare a.d_key b.d_key
          | c -> c)
-
-let object_rows t =
-  Hashtbl.fold (fun obj n acc -> (obj, n) :: acc) t.object_counts []
-  |> List.sort (fun (oa, a) (ob, b) ->
-         match compare b a with 0 -> compare oa ob | c -> c)
 
 let failures t =
   List.sort (fun a b -> compare a.f_index b.f_index) t.failures

@@ -37,7 +37,6 @@ type run_obs = {
   o_spec : string;  (** Human description of the schedule. *)
   o_repro : string;  (** [racedet run] flags replaying it. *)
   o_sightings : sighting list;
-  o_objects : string list;  (** Raw racy-object names (sweep compat). *)
   o_fingerprint : int;  (** Raw interleaving fingerprint of the run. *)
   o_hb_fingerprint : int option;
       (** Happens-before class fingerprint ({!Hb_fingerprint}); [None]
@@ -110,10 +109,6 @@ val note_deadline : t -> unit
 
 val races : t -> deduped list
 (** Sorted by sighting count (descending), then key. *)
-
-val object_rows : t -> (string * int) list
-(** Raw racy-object occurrence counts (the legacy sweep view), sorted by
-    count then name. *)
 
 val failures : t -> failure list
 (** In run-index order. *)

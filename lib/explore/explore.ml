@@ -43,7 +43,6 @@ let pp_spec = Campaign.pp_spec
 type report = {
   r_spec : spec;
   r_races : Aggregate.deduped list;
-  r_objects : (string * int) list;
   r_failures : Aggregate.failure list;
   r_obs : Aggregate.run_obs list;
   r_stats : Aggregate.stats;
@@ -152,7 +151,6 @@ let observe_run ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) :
     o_spec = Strategy.describe sp;
     o_repro = Strategy.repro_flags sp;
     o_sightings = sightings_of c r;
-    o_objects = r.Pipeline.racy_objects;
     o_fingerprint = r.Pipeline.fingerprint;
     o_hb_fingerprint = None;
     o_events = r.Pipeline.events;
@@ -183,11 +181,10 @@ let observe_run ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) :
    pruned/class statistics are re-derived deterministically from the
    recorded hb fingerprints by the Aggregate fold. *)
 
-type seen_rep = Aggregate.sighting list * string list
-
 type seen_classes = {
-  sn_tbl : (int, seen_rep) Hashtbl.t; (* domain-local: lock-free *)
-  mutable sn_fresh : (int * seen_rep) list;
+  sn_tbl : (int, Aggregate.sighting list) Hashtbl.t;
+      (* domain-local: lock-free *)
+  mutable sn_fresh : (int * Aggregate.sighting list) list;
       (* locally discovered since the last sync, newest first *)
   mutable sn_cursor : int; (* journal read position *)
 }
@@ -214,16 +211,15 @@ let observe_run_hb ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) ~seen :
   let hb_tap, hb_fp = Hb_fingerprint.tap () in
   let r1 = Pipeline.run ?ctx ~vm ~tap:hb_tap ~detect:false c in
   let hb = hb_fp () in
-  let sightings, objects, wall =
+  let sightings, wall =
     match Hashtbl.find_opt seen.sn_tbl hb with
-    | Some (sightings, objects) -> (sightings, objects, r1.Pipeline.wall_time)
+    | Some sightings -> (sightings, r1.Pipeline.wall_time)
     | None ->
         let r2 = Pipeline.run ?ctx ~vm c in
         let sightings = sightings_of c r2 in
-        let objects = r2.Pipeline.racy_objects in
-        Hashtbl.add seen.sn_tbl hb (sightings, objects);
-        seen.sn_fresh <- (hb, (sightings, objects)) :: seen.sn_fresh;
-        (sightings, objects, r1.Pipeline.wall_time +. r2.Pipeline.wall_time)
+        Hashtbl.add seen.sn_tbl hb sightings;
+        seen.sn_fresh <- (hb, sightings) :: seen.sn_fresh;
+        (sightings, r1.Pipeline.wall_time +. r2.Pipeline.wall_time)
   in
   {
     Aggregate.o_index = sp.Strategy.sp_index;
@@ -231,7 +227,6 @@ let observe_run_hb ?ctx (c : Pipeline.compiled) (sp : Strategy.run_spec) ~seen :
     o_spec = Strategy.describe sp;
     o_repro = Strategy.repro_flags sp;
     o_sightings = sightings;
-    o_objects = objects;
     o_fingerprint = r1.Pipeline.fingerprint;
     o_hb_fingerprint = Some hb;
     o_events = r1.Pipeline.events;
@@ -254,7 +249,6 @@ let report_of_rows ?(wall = 0.) ?(deadline_hit = false) ?(apply_plateau = true)
   {
     r_spec = sp;
     r_races = Aggregate.races agg;
-    r_objects = Aggregate.object_rows agg;
     r_failures = Aggregate.failures agg;
     r_obs = Aggregate.observations agg;
     r_stats = Aggregate.stats agg;
@@ -268,18 +262,14 @@ let merge sp rows = report_of_rows sp rows
    Negative indices (out-of-range markers from older recorders) are
    ignored. *)
 let missing_indices (sp : spec) rows =
-  let total =
-    match Strategy.count sp.e_strategy with
-    | Some n -> min n sp.e_budget.b_runs
-    | None -> sp.e_budget.b_runs
-  in
   let present = Hashtbl.create 64 in
   List.iter
     (fun row ->
       let i = Aggregate.row_index row in
       if i >= 0 then Hashtbl.replace present i ())
     rows;
-  List.init total Fun.id |> List.filter (fun i -> not (Hashtbl.mem present i))
+  List.init sp.e_budget.b_runs Fun.id
+  |> List.filter (fun i -> not (Hashtbl.mem present i))
 
 type shard_refusal = Duplicate_index of int | Missing_indices of int list
 
@@ -424,15 +414,10 @@ let run_campaign ?shard ?batch ?(reuse_ctx = true) (sp : spec) ~source : report
         (i, n)
   in
   let b = sp.e_budget in
-  let total_runs =
-    match Strategy.count sp.e_strategy with
-    | Some n -> min n b.b_runs
-    | None -> b.b_runs
-  in
   (* Shard i of n owns the run indices congruent to i mod n; work
      ordinal k maps to index i + k*n, so indices are a pure function of
      the spec and the shard, never of scheduling. *)
-  let owned = Campaign.owned_count ~shard_i ~shard_n ~total:total_runs in
+  let owned = Campaign.owned_count ~shard_i ~shard_n ~total:b.b_runs in
   let workers = max 1 (min sp.e_workers owned) in
   let batch =
     match batch with
@@ -725,29 +710,3 @@ let row_of_line = Wire.row_of_line
 let write_obs_channel = Wire.write_obs_channel
 let read_obs_channel = Wire.read_obs_channel
 let fold_obs_channel = Wire.fold_obs_channel
-
-(* ---- the legacy seed sweep, rebased on the engine ---- *)
-
-type sweep_result = {
-  sw_objects : (string * int) list;
-  sw_failures : (int * string) list;
-}
-
-let sweep ?(workers = 1) (config : Config.t) ~source ~seeds : sweep_result =
-  let seeds = Array.of_list seeds in
-  let sp =
-    Campaign.spec
-      ~strategy:(Strategy.Seeds seeds)
-      ~workers
-      ~budget:(runs_budget (Array.length seeds))
-      config
-  in
-  let r = run_campaign sp ~source in
-  {
-    sw_objects = r.r_objects;
-    sw_failures =
-      List.map
-        (fun (f : Aggregate.failure) ->
-          (f.Aggregate.f_seed, f.Aggregate.f_error))
-        r.r_failures;
-  }

@@ -98,8 +98,6 @@ type report = {
   r_races : Aggregate.deduped list;
       (** Deduped by (object, field, site-pair); each with first-seen
           seed/schedule. *)
-  r_objects : (string * int) list;
-      (** Racy-object occurrence counts (the legacy sweep view). *)
   r_failures : Aggregate.failure list;
       (** Runs that crashed (deadlock, step limit, …) — isolated, never
           fatal to the campaign. *)
@@ -190,9 +188,9 @@ val merge : spec -> Aggregate.row list -> report
     ([r_wall] is 0; render with [~timing:false]). *)
 
 val missing_indices : spec -> Aggregate.row list -> int list
-(** Run indices in [0 .. total_runs - 1] (the campaign's deterministic
-    index range, [total_runs] being the run budget capped by the
-    strategy's intrinsic count) that no row covers, in ascending order.
+(** Run indices in [0 .. b_runs - 1] (the campaign's deterministic
+    index range, {!budget.b_runs} being the run budget) that no row
+    covers, in ascending order.
     Non-empty input to {!merge} means an incomplete shard set: with a
     purely runs-based budget the merged report would silently differ
     from the single-process run.  Rows with negative indices (markers
@@ -271,17 +269,3 @@ val fold_obs_channel :
   (spec * string * 'a, string) result
 (** Streaming fold over an observation file; see
     {!Wire.fold_obs_channel}. *)
-
-(** {1 The legacy seed sweep} *)
-
-type sweep_result = {
-  sw_objects : (string * int) list;
-      (** [(object, runs-that-reported-it)], sorted by frequency. *)
-  sw_failures : (int * string) list;  (** [(seed, error)]. *)
-}
-
-val sweep :
-  ?workers:int -> Config.t -> source:string -> seeds:int list -> sweep_result
-(** The legacy schedule sweep (formerly [Pipeline.sweep]), rebased onto
-    the engine: run once per scheduler seed and aggregate the racy
-    objects. *)

@@ -5,13 +5,11 @@ type t =
   | Sweep
   | Jitter
   | Pct of int
-  | Seeds of int array
 
 let name = function
   | Sweep -> "sweep"
   | Jitter -> "jitter"
   | Pct d -> Printf.sprintf "pct(d=%d)" d
-  | Seeds a -> Printf.sprintf "seeds(%d)" (Array.length a)
 
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
@@ -19,8 +17,6 @@ let of_string s =
   | "jitter" -> Ok Jitter
   | "pct" -> Ok (Pct 3)
   | s -> Error (Printf.sprintf "unknown strategy %s (try sweep|jitter|pct)" s)
-
-let count = function Seeds a -> Some (Array.length a) | _ -> None
 
 (* A SplitMix64-style finalizer over (base seed, run index): every run
    of a campaign gets an independent-looking but fully deterministic
@@ -68,13 +64,6 @@ let spec strategy ~(base : Config.t) ~pct_horizon index =
         sp_seed = mix base.Config.seed index;
         sp_quantum = base.Config.quantum;
         sp_policy = Interp.Pct { depth; horizon = pct_horizon };
-      }
-  | Seeds seeds ->
-      {
-        sp_index = index;
-        sp_seed = seeds.(index);
-        sp_quantum = base.Config.quantum;
-        sp_policy = Interp.Random_walk;
       }
 
 (* One batched claim's worth of run specs: indices [first, first+stride,

@@ -17,17 +17,12 @@ type t =
   | Pct of int
       (** PCT-style priority scheduling with the given number of
           priority-change points (see {!Interp.policy}). *)
-  | Seeds of int array
-      (** An explicit seed list (the legacy [sweep] entry point). *)
 
 val name : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse a CLI strategy name ([sweep]/[jitter]/[pct]); [pct] defaults
     to 3 change points. *)
-
-val count : t -> int option
-(** The intrinsic run count, for strategies that have one ([Seeds]). *)
 
 type run_spec = {
   sp_index : int;

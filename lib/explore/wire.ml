@@ -15,9 +15,12 @@ module Memloc = Drd_vm.Memloc
 (* Version history:
    1 — initial format (spec without equiv mode, obs without hb field).
    2 — spec carries "equiv", run obs optionally carry "hb_fingerprint".
-   Both are decoded: a missing equiv field means Raw and a missing hb
-   field means None, exactly the semantics v1 writers had. *)
-let schema_version = 2
+   3 — run obs no longer carry "objects"; the "seeds" strategy is gone.
+   All three are decoded: a missing equiv field means Raw, a missing hb
+   field means None, exactly the semantics v1 writers had, and an
+   "objects" field on a v1 or v2 row is ignored like any unknown
+   field. *)
+let schema_version = 3
 let min_schema_version = 1
 
 (* ------------------------------------------------------------------ *)
@@ -419,24 +422,12 @@ let strategy_to_json = function
   | Strategy.Sweep -> Obj [ ("kind", String "sweep") ]
   | Strategy.Jitter -> Obj [ ("kind", String "jitter") ]
   | Strategy.Pct depth -> Obj [ ("kind", String "pct"); ("depth", Int depth) ]
-  | Strategy.Seeds seeds ->
-      Obj
-        [
-          ("kind", String "seeds");
-          ("seeds", List (Array.to_list seeds |> List.map (fun s -> Int s)));
-        ]
 
 let strategy_of_json j =
   match d_string "kind" j with
   | "sweep" -> Strategy.Sweep
   | "jitter" -> Strategy.Jitter
   | "pct" -> Strategy.Pct (d_int "depth" j)
-  | "seeds" ->
-      let seeds =
-        d_list "seeds" j
-        |> List.map (function Int s -> s | _ -> dfail "bad seed list")
-      in
-      Strategy.Seeds (Array.of_list seeds)
   | k -> dfail "unknown strategy %S" k
 
 let budget_to_json (b : Campaign.budget) =
@@ -513,7 +504,6 @@ let obs_body_to_json (o : Aggregate.run_obs) =
        ("spec", String o.Aggregate.o_spec);
        ("repro", String o.Aggregate.o_repro);
        ("sightings", List (List.map sighting_to_json o.Aggregate.o_sightings));
-       ("objects", List (List.map (fun s -> String s) o.Aggregate.o_objects));
        ("fingerprint", Int o.Aggregate.o_fingerprint);
      ]
     @ (match o.Aggregate.o_hb_fingerprint with
@@ -532,9 +522,6 @@ let obs_body_of_json j =
     o_spec = d_string "spec" j;
     o_repro = d_string "repro" j;
     o_sightings = d_list "sightings" j |> List.map sighting_of_json;
-    o_objects =
-      d_list "objects" j
-      |> List.map (function String s -> s | _ -> dfail "bad object list");
     o_fingerprint = d_int "fingerprint" j;
     (* Absent on v1 rows and on raw-equivalence campaigns. *)
     o_hb_fingerprint = d_opt d_int "hb_fingerprint" j;

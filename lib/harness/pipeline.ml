@@ -349,8 +349,8 @@ module Run_ctx = struct
             Paper
               (Detector.create ~config:(detector_config_of c.config) collector)
         | dv -> (
-            match Registry.of_detector dv with
-            | Some e -> Baseline (baseline e.Registry.impl)
+            match Registry.baseline dv with
+            | Some m -> Baseline (baseline m)
             | None -> No_detector)
     in
     {
@@ -749,10 +749,6 @@ let static_peers_of_site (c : compiled) site =
 let run_source config source =
   let c = compile config ~source in
   (c, run c)
-
-(* The schedule sweep that used to live here (run once per scheduler
-   seed, aggregate racy objects) is now Drd_explore.Explore.sweep — a
-   thin wrapper over the parallel schedule-exploration engine. *)
 
 (* ---- post-mortem mode (paper Section 1) ---- *)
 

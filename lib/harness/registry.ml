@@ -1,16 +1,15 @@
 open Drd_core
 
 (* The name-keyed detector registry: one row per race-detection
-   technique the repo implements, each packaged behind
-   Detector_intf.S.  `racedet run/detect/arena --detector NAME` and
-   the differential arena resolve techniques here instead of carrying
-   per-baseline plumbing. *)
+   technique the repo implements.  `racedet run/detect/arena --detector
+   NAME` and the differential arena resolve techniques here instead of
+   carrying per-baseline plumbing. *)
 
 type entry = {
   name : string;
   aliases : string list;
   detector : Config.detector; (* the Config variant the name denotes *)
-  impl : (module Detector_intf.S);
+  describe : string; (* one line for `racedet list` *)
 }
 
 let all =
@@ -19,25 +18,33 @@ let all =
       name = "paper";
       aliases = [ "ours" ];
       detector = Config.Ours;
-      impl = (module Detector.Standard : Detector_intf.S);
+      describe =
+        "The paper's detector (Choi et al. 2002): trie histories, \
+         weaker-than filtering, ownership model, join pseudo-locks";
     };
     {
       name = "eraser";
       aliases = [];
       detector = Config.Eraser;
-      impl = (module Drd_baselines.Eraser : Detector_intf.S);
+      describe =
+        "Eraser lockset discipline (Savage et al. 1997): one common lock \
+         across all accesses, no fork/join modeling";
     };
     {
       name = "objrace";
       aliases = [ "objectrace" ];
       detector = Config.ObjRace;
-      impl = (module Drd_baselines.Objrace : Detector_intf.S);
+      describe =
+        "Object race detection (von Praun & Gross 2001): per-object \
+         granularity, virtual calls count as writes to the receiver";
     };
     {
       name = "vclock";
       aliases = [ "hb"; "happens-before" ];
       detector = Config.HappensBefore;
-      impl = (module Drd_baselines.Happens_before : Detector_intf.S);
+      describe =
+        "Vector-clock happens-before detection (Djit/TRaDe style): precise \
+         for the observed order, misses schedule-hidden feasible races";
     };
   ]
 
@@ -52,9 +59,13 @@ let of_detector (d : Config.detector) =
   | Config.NoDetect -> None
   | _ -> List.find_opt (fun e -> e.detector = d) all
 
-let describe e =
-  let (module D : Detector_intf.S) = e.impl in
-  D.describe
+(* The paper detector has no module here: runs drive it directly,
+   through its specialized fast paths. *)
+let baseline : Config.detector -> (module Detector_intf.S) option = function
+  | Config.Eraser -> Some (module Drd_baselines.Eraser)
+  | Config.ObjRace -> Some (module Drd_baselines.Objrace)
+  | Config.HappensBefore -> Some (module Drd_baselines.Happens_before)
+  | Config.Ours | Config.NoDetect -> None
 
 (* The canonical harness configuration for running [e]: the paper
    detector keeps the caller's configuration when it already selects

@@ -1,19 +1,17 @@
 (** The name-keyed detector registry.
 
-    One row per race-detection technique, each packaged behind
-    {!Drd_core.Detector_intf.S}: the paper detector
-    ({!Drd_core.Detector.Standard}) plus the three baselines.  The CLI
-    (`--detector NAME`) and the differential arena resolve techniques
-    here; `lib/harness/pipeline.ml` drives whichever module a
-    configuration denotes through the one interface instead of
-    per-baseline plumbing. *)
+    One row per race-detection technique: the paper detector plus the
+    three baselines.  The CLI (`--detector NAME`) and the differential
+    arena resolve techniques here; `lib/harness/pipeline.ml` drives a
+    baseline through its {!Drd_core.Detector_intf.S} module
+    ({!baseline}) instead of per-baseline plumbing. *)
 
 type entry = {
   name : string;  (** Canonical registry name, e.g. ["vclock"]. *)
   aliases : string list;  (** Accepted synonyms, e.g. ["hb"]. *)
   detector : Config.detector;
       (** The configuration variant the name denotes. *)
-  impl : (module Drd_core.Detector_intf.S);
+  describe : string;  (** One-line human description for [racedet list]. *)
 }
 
 val all : entry list
@@ -28,7 +26,9 @@ val of_detector : Config.detector -> entry option
 (** The entry implementing a configuration's detector; [None] for
     [NoDetect]. *)
 
-val describe : entry -> string
+val baseline : Config.detector -> (module Drd_core.Detector_intf.S) option
+(** The module that runs a baseline detector; [None] for the paper
+    detector, which runs drive directly, and for [NoDetect]. *)
 
 val apply : entry -> Config.t -> Config.t
 (** The canonical harness configuration for running [entry]: keeps the

@@ -152,8 +152,6 @@ let spec_class_of_site im site =
       if c >= 0 then Some sp.sp_cell_class.(c) else None
   | None -> None
 
-let method_count im = Array.length im.i_methods
-
 let class_count im = Array.length im.i_classes
 
 let find_method_id im key =

@@ -153,7 +153,6 @@ val spec_cell_of_site : image -> int -> int
 val spec_class_of_site : image -> int -> spec_class option
 (** The specialization class of a site id, when it has one. *)
 
-val method_count : image -> int
 val class_count : image -> int
 
 val find_method_id : image -> string -> int option

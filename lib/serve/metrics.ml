@@ -48,7 +48,6 @@ let absorb_session m ~events:_ ~races ~evictions =
   m.m_closed_evictions <- m.m_closed_evictions + evictions
 
 let live_sessions m = m.m_sessions_opened - m.m_sessions_closed
-let events_total m = m.m_events
 
 let sample_heap m =
   let h = (Gc.quick_stat ()).Gc.heap_words in

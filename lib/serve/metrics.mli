@@ -34,8 +34,6 @@ val absorb_session :
 
 val live_sessions : t -> int
 
-val events_total : t -> int
-
 val sample_heap : t -> unit
 (** Record the current major-heap size; {!stats_json} reports the
     running maximum, the number the soak test watches for flatness. *)

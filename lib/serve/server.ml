@@ -16,11 +16,13 @@ type conn = {
       (* connection-lifetime detector state, reset per session *)
 }
 
-(* What one inbound line did to the connection. *)
+(* What one inbound line — or one read of a framed connection — did to
+   the connection. *)
 type outcome =
   | Continue
   | Shutdown_req
   | Fatal of string  (** input error: error frame sent, drop the peer *)
+  | End_of_stream  (** the peer's stream ended, every line handled *)
 
 (* The length of the line [s.[pos..pos+len)] without a trailing CR. *)
 let chomp_cr s pos len =
@@ -153,72 +155,16 @@ let live_of_conn conn () =
   | None -> (0, 0, 0)
   | Some s -> (Session.live_locations s, Session.races s, Session.evictions s)
 
-(* ---- stdin/stdout transport ---- *)
+(* ---- framing, shared by both transports ---- *)
 
-let serve_channels conf ic oc =
-  let metrics = Metrics.create ~now:(Unix.gettimeofday ()) in
-  let send frame =
-    output_string oc frame;
-    output_char oc '\n';
-    flush oc
-  in
-  let conn = { c_send = send; c_session = None; c_pool = Session.pool () } in
-  let live = live_of_conn conn in
-  let next_stats =
-    ref
-      (if conf.sv_stats_every > 0. then
-         Unix.gettimeofday () +. conf.sv_stats_every
-       else infinity)
-  in
-  let since_check = ref 0 in
-  let result = ref (Ok ()) in
-  let continue = ref true in
-  while !continue do
-    match input_line ic with
-    | exception End_of_file -> continue := false
-    | line ->
-        (match
-           handle_line conf metrics conn ~live line 0
-             (chomp_cr line 0 (String.length line))
-         with
-        | Continue -> ()
-        | Shutdown_req -> continue := false
-        | Fatal m ->
-            result := Error m;
-            continue := false);
-        incr since_check;
-        (* The time check is a syscall; amortize it over the hot loop. *)
-        if !since_check >= 4096 then begin
-          since_check := 0;
-          Metrics.sample_heap metrics;
-          let now = Unix.gettimeofday () in
-          if now >= !next_stats then begin
-            emit_stats_stderr metrics ~live;
-            next_stats := now +. conf.sv_stats_every
-          end
-        end
-  done;
-  (match !result with
-  | Ok () -> (
-      (* EOF closes the open session, exactly like a close frame. *)
-      match close_session metrics conn with
-      | Ok _ -> ()
-      | Error m -> result := Error m)
-  | Error _ -> ());
-  if conf.sv_stats_every > 0. then emit_stats_stderr metrics ~live;
-  !result
-
-(* ---- Unix-socket transport ---- *)
-
-(* Socket framing keeps one growable buffer per connection: bytes
-   [sc_start, sc_fill) are read but not yet consumed, and [sc_start,
-   sc_scan) is known to hold no newline, so each byte is scanned once
-   however many reads a line straddles.  Lines are handed to the decoder
-   where they lie; only a partial line is ever moved (to the front, to
-   make room), and a line longer than [max_line_bytes] ends the
-   connection, so a long line costs time linear in its length and a
-   peer that never sends a newline cannot grow the daemon without
-   bound. *)
+(* A connection keeps one growable buffer: bytes [sc_start, sc_fill)
+   are read but not yet consumed, and [sc_start, sc_scan) is known to
+   hold no newline, so each byte is scanned once however many reads a
+   line straddles.  Lines are handed to the decoder where they lie;
+   only a partial line is ever moved (to the front, to make room), and
+   a line longer than [max_line_bytes] ends the connection, so a long
+   line costs time linear in its length and a peer that never sends a
+   newline cannot grow the daemon without bound. *)
 
 let max_line_bytes = 1 lsl 20
 
@@ -228,12 +174,11 @@ let initial_buffer = 65536
 let min_room = 4096
 
 type sconn = {
-  sc_fd : Unix.file_descr;
+  sc_fd : Unix.file_descr;  (** read side *)
   mutable sc_buf : Bytes.t;
   mutable sc_start : int;  (** first byte of the pending line *)
   mutable sc_scan : int;  (** [sc_start, sc_scan) holds no newline *)
   mutable sc_fill : int;  (** end of the bytes read *)
-  sc_alive : bool ref;  (** cleared when a write hits a gone peer *)
   sc_conn : conn;
 }
 
@@ -242,13 +187,15 @@ let rec write_all fd s pos len =
     let n = Unix.write_substring fd s pos len in
     write_all fd s (pos + n) (len - n)
 
-let make_sconn fd =
+(* Frames go to [out] one write per frame; a write to a gone peer
+   (EPIPE, ECONNRESET) silences the connection instead of raising. *)
+let make_sconn fd ~out =
   let alive = ref true in
   let send frame =
     if !alive then
       try
         let line = frame ^ "\n" in
-        write_all fd line 0 (String.length line)
+        write_all out line 0 (String.length line)
       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
         alive := false
   in
@@ -258,7 +205,6 @@ let make_sconn fd =
     sc_start = 0;
     sc_scan = 0;
     sc_fill = 0;
-    sc_alive = alive;
     sc_conn = { c_send = send; c_session = None; c_pool = Session.pool () };
   }
 
@@ -289,6 +235,105 @@ let make_room sc =
     sc.sc_start <- 0;
     sc.sc_fill <- pending
   end
+
+(* Hand every complete line to the protocol, in place, until one does
+   not [Continue] or only a partial line is left. *)
+let process_buffer conf metrics ~live sc =
+  let s = Bytes.unsafe_to_string sc.sc_buf in
+  let rec go () =
+    let nl = index_newline sc.sc_buf sc.sc_scan sc.sc_fill in
+    let pos = sc.sc_start in
+    if (if nl < 0 then sc.sc_fill else nl) - pos > max_line_bytes then
+      fatal metrics sc.sc_conn
+        (Printf.sprintf "line longer than %d bytes" max_line_bytes)
+    else if nl < 0 then begin
+      sc.sc_scan <- sc.sc_fill;
+      Continue
+    end
+    else begin
+      sc.sc_start <- nl + 1;
+      sc.sc_scan <- nl + 1;
+      match
+        handle_line conf metrics sc.sc_conn ~live s pos
+          (chomp_cr s pos (nl - pos))
+      with
+      | Continue -> go ()
+      | o -> o
+    end
+  in
+  go ()
+
+(* One read, then the lines it completed.  At end of stream a final
+   line without a newline is still a line. *)
+let read_step conf metrics ~live sc =
+  make_room sc;
+  match
+    Unix.read sc.sc_fd sc.sc_buf sc.sc_fill
+      (Bytes.length sc.sc_buf - sc.sc_fill)
+  with
+  | 0 -> (
+      let pos = sc.sc_start and len = sc.sc_fill - sc.sc_start in
+      sc.sc_start <- sc.sc_fill;
+      sc.sc_scan <- sc.sc_fill;
+      if len = 0 then End_of_stream
+      else
+        let s = Bytes.unsafe_to_string sc.sc_buf in
+        match
+          handle_line conf metrics sc.sc_conn ~live s pos (chomp_cr s pos len)
+        with
+        | Continue -> End_of_stream
+        | o -> o)
+  | n ->
+      sc.sc_fill <- sc.sc_fill + n;
+      process_buffer conf metrics ~live sc
+
+let stats_clock conf =
+  ref
+    (if conf.sv_stats_every > 0. then
+       Unix.gettimeofday () +. conf.sv_stats_every
+     else infinity)
+
+(* After each read round: sample the heap, and print the stats line
+   when it is due. *)
+let tick conf metrics ~live next_stats =
+  Metrics.sample_heap metrics;
+  if conf.sv_stats_every > 0. then begin
+    let now = Unix.gettimeofday () in
+    if now >= !next_stats then begin
+      emit_stats_stderr metrics ~live;
+      next_stats := now +. conf.sv_stats_every
+    end
+  end
+
+(* ---- stdin/stdout transport: one framed connection ---- *)
+
+let serve_channels conf ic oc =
+  flush oc;
+  let metrics = Metrics.create ~now:(Unix.gettimeofday ()) in
+  let sc =
+    make_sconn (Unix.descr_of_in_channel ic)
+      ~out:(Unix.descr_of_out_channel oc)
+  in
+  let live = live_of_conn sc.sc_conn in
+  let next_stats = stats_clock conf in
+  let rec loop () =
+    match read_step conf metrics ~live sc with
+    | Continue ->
+        tick conf metrics ~live next_stats;
+        loop ()
+    | End_of_stream | Shutdown_req -> (
+        (* The end of the stream closes the open session, exactly like a
+           close frame. *)
+        match close_session metrics sc.sc_conn with
+        | Ok _ -> Ok ()
+        | Error m -> Error m)
+    | Fatal m -> Error m
+  in
+  let result = loop () in
+  if conf.sv_stats_every > 0. then emit_stats_stderr metrics ~live;
+  result
+
+(* ---- Unix-socket transport ---- *)
 
 let serve_socket conf ~path ?ready () =
   match
@@ -332,64 +377,16 @@ let serve_socket conf ~path ?ready () =
           try Unix.close sc.sc_fd with Unix.Unix_error _ -> ()
         end
       in
-      let too_long sc =
-        ignore
-          (fatal metrics sc.sc_conn
-             (Printf.sprintf "line longer than %d bytes" max_line_bytes)
-            : outcome);
-        finish_conn sc ~report:false
-      in
-      (* Hand every complete line to the protocol, in place. *)
-      let process_buffer sc =
-        let s = Bytes.unsafe_to_string sc.sc_buf in
-        let stop = ref false in
-        while not !stop do
-          let nl = index_newline sc.sc_buf sc.sc_scan sc.sc_fill in
-          let pos = sc.sc_start in
-          if (if nl < 0 then sc.sc_fill else nl) - pos > max_line_bytes then begin
-            too_long sc;
-            stop := true
-          end
-          else if nl < 0 then begin
-            sc.sc_scan <- sc.sc_fill;
-            stop := true
-          end
-          else begin
-            sc.sc_start <- nl + 1;
-            sc.sc_scan <- nl + 1;
-            match
-              handle_line conf metrics sc.sc_conn ~live s pos
-                (chomp_cr s pos (nl - pos))
-            with
-            | Continue -> ()
-            | Shutdown_req ->
-                running := false;
-                stop := true
-            | Fatal _ ->
-                finish_conn sc ~report:false;
-                stop := true
-          end
-        done
-      in
       let read_conn sc =
-        make_room sc;
-        match
-          Unix.read sc.sc_fd sc.sc_buf sc.sc_fill
-            (Bytes.length sc.sc_buf - sc.sc_fill)
-        with
+        match read_step conf metrics ~live sc with
         | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
             finish_conn sc ~report:false
-        | 0 -> finish_conn sc ~report:true
-        | n ->
-            sc.sc_fill <- sc.sc_fill + n;
-            process_buffer sc
+        | Continue -> ()
+        | End_of_stream -> finish_conn sc ~report:true
+        | Shutdown_req -> running := false
+        | Fatal _ -> finish_conn sc ~report:false
       in
-      let next_stats =
-        ref
-          (if conf.sv_stats_every > 0. then
-             Unix.gettimeofday () +. conf.sv_stats_every
-           else infinity)
-      in
+      let next_stats = stats_clock conf in
       while !running do
         let fds = srv :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
         let timeout =
@@ -406,20 +403,13 @@ let serve_socket conf ~path ?ready () =
             if fd == srv then (
               match Unix.accept srv with
               | exception Unix.Unix_error _ -> ()
-              | cfd, _ -> Hashtbl.replace conns cfd (make_sconn cfd))
+              | cfd, _ -> Hashtbl.replace conns cfd (make_sconn cfd ~out:cfd))
             else
               match Hashtbl.find_opt conns fd with
               | None -> () (* dropped earlier in this round *)
               | Some sc -> read_conn sc)
           readable;
-        Metrics.sample_heap metrics;
-        if conf.sv_stats_every > 0. then begin
-          let now = Unix.gettimeofday () in
-          if now >= !next_stats then begin
-            emit_stats_stderr metrics ~live;
-            next_stats := now +. conf.sv_stats_every
-          end
-        end
+        tick conf metrics ~live next_stats
       done;
       (* Shutdown: finish every connection as if its stream ended. *)
       let all = Hashtbl.fold (fun _ sc acc -> sc :: acc) conns [] in

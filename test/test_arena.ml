@@ -20,10 +20,10 @@ let entry name = Option.get (R.find name)
 let test_registry () =
   List.iter
     (fun (e : R.entry) ->
-      let (module D : Drd_core.Detector_intf.S) = e.R.impl in
-      Alcotest.(check string)
-        (e.R.name ^ ": module id matches registry name")
-        e.R.name D.id;
+      Alcotest.(check bool)
+        (e.R.name ^ ": a baseline module exactly when not the paper detector")
+        (e.R.name <> "paper")
+        (R.baseline e.R.detector <> None);
       let resolves_to_self s =
         match R.find s with
         | Some e' -> e'.R.name = e.R.name

@@ -77,7 +77,6 @@ let strip_wall (r : Explore.report) =
   in
   let s = r.Explore.r_stats in
   ( races,
-    r.Explore.r_objects,
     List.length r.Explore.r_failures,
     ( s.Aggregate.st_runs,
       s.Aggregate.st_distinct_races,
@@ -360,7 +359,7 @@ let test_hb_pruning_soundness () =
      runs whose happens-before class was already seen must not change
      the deduped race report.  Every benchmark, under both a
      deterministic sweep and PCT, compared field for field — races,
-     first-seen attribution, repro recipes, racy objects. *)
+     first-seen attribution, repro recipes. *)
   let strategies =
     [ ("sweep", Strategy.Sweep); ("pct", Strategy.Pct 3) ]
   in
@@ -382,9 +381,9 @@ let test_hb_pruning_soundness () =
           let strip (r : Explore.report) =
             (* Everything report-visible except the equiv bookkeeping
                (which legitimately differs between modes) and timing. *)
-            let races, objects, failures, stats = strip_wall r in
+            let races, failures, stats = strip_wall r in
             let runs, dr, df, ev, st, _classes, _pruned, disc = stats in
-            (races, objects, failures, (runs, dr, df, ev, st, disc))
+            (races, failures, (runs, dr, df, ev, st, disc))
           in
           Alcotest.(check bool)
             (what ^ ": hb report identical to raw")

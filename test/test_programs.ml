@@ -8,6 +8,7 @@ module Config = H.Config
 module Pipeline = H.Pipeline
 module Programs = H.Programs
 module Explore = Drd_explore.Explore
+module Aggregate = Drd_explore.Aggregate
 
 let run_config config source = snd (Pipeline.run_source config source)
 
@@ -195,22 +196,35 @@ let test_seed_sweep_stability () =
     [ 1; 7; 99 ]
 
 let test_sweep_aggregation () =
-  (* The schedule sweep: the deterministic mtrt races appear in every
-     run; elevator reports nothing in any run. *)
-  let b = benchmark "mtrt" in
-  let sw =
-    Explore.sweep Config.full ~source:b.Programs.b_source ~seeds:[ 1; 2; 3 ]
+  (* The seed sweep (seeds 1, 2, 3): the deterministic mtrt races
+     appear in every run; elevator reports nothing in any run. *)
+  let sweep name =
+    let sp =
+      Explore.spec ~strategy:Drd_explore.Strategy.Sweep
+        ~budget:(Explore.runs_budget 3)
+        { Config.full with Config.seed = 1 }
+    in
+    Explore.run_campaign sp ~source:(benchmark name).Programs.b_source
   in
-  Alcotest.(check (list (pair int string))) "no failures" []
-    sw.Explore.sw_failures;
-  Alcotest.(check int) "two objects, every seed" 2
-    (List.length (List.filter (fun (_, n) -> n = 3) sw.Explore.sw_objects));
-  let e = benchmark "elevator" in
-  let sw =
-    Explore.sweep Config.full ~source:e.Programs.b_source ~seeds:[ 1; 2; 3 ]
-  in
-  Alcotest.(check (list (pair string int))) "elevator silent" []
-    sw.Explore.sw_objects
+  let r = sweep "mtrt" in
+  Alcotest.(check int) "no failures" 0 (List.length r.Explore.r_failures);
+  Alcotest.(check int) "three runs" 3 (List.length r.Explore.r_obs);
+  List.iter
+    (fun (o : Aggregate.run_obs) ->
+      let objects =
+        List.map
+          (fun s -> s.Aggregate.s_key.Aggregate.k_object)
+          o.Aggregate.o_sightings
+      in
+      List.iter
+        (fun obj ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s in run %d" obj o.Aggregate.o_index)
+            true (List.mem obj objects))
+        [ "RayTrace.threadCount"; "ValidityCheckOutputStream.startOfLine" ])
+    r.Explore.r_obs;
+  Alcotest.(check int) "elevator silent" 0
+    (List.length (sweep "elevator").Explore.r_races)
 
 let test_sor_hoisting_claim () =
   (* Section 8.1: sor2 was derived from sor by hoisting subscripts, and

@@ -342,6 +342,23 @@ let test_serve_channels_errors () =
   | Error m -> Alcotest.(check bool) "double hello refused" true (contains m "already open")
   | Ok () -> Alcotest.fail "double hello accepted"
 
+(* The stdin transport frames lines like the socket: a line over the
+   1 MiB cap is an error, answered with a short error frame (the line
+   is never quoted back), not read whole. *)
+let test_serve_channels_line_cap () =
+  let r, out = serve_string default_conf (String.make (2 lsl 20) 'A' ^ "\n") in
+  (match r with
+  | Error m ->
+      Alcotest.(check string) "error names the cap"
+        "line longer than 1048576 bytes" m
+  | Ok () -> Alcotest.fail "2 MiB line accepted");
+  Alcotest.(check bool) "error frame names the cap" true
+    (List.exists
+       (fun l -> contains l "\"t\":\"error\"" && contains l "1048576 bytes")
+       out);
+  Alcotest.(check bool) "frames stay short" true
+    (List.for_all (fun l -> String.length l < 1024) out)
+
 (* ---- Unix-socket transport ---- *)
 
 (* A daemon on a fresh socket in its own domain; [shutdown] stops it
@@ -511,6 +528,32 @@ let test_socket_line_cap () =
   close_out oc2;
   shutdown ()
 
+(* At the end of a client's stream, a final event line without a
+   newline is still a line: the report counts it, as on stdin. *)
+let test_socket_final_unterminated_line () =
+  let connect, shutdown = start_socket_server () in
+  let fd, ic, oc = connect () in
+  output_string oc (hello_line "tail" ^ "\nA 1 1 W 0\nA 1 2 R 0\nA 1 1 W 0");
+  flush oc;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let report = find_frame ic "report" in
+  Unix.close fd;
+  let events_in =
+    match W.json_of_string report with
+    | Ok j -> (
+        match
+          Option.bind (W.member "report" j) (W.member "stats")
+          |> Fun.flip Option.bind (W.member "events_in")
+        with
+        | Some (W.Int n) -> n
+        | _ -> Alcotest.failf "no report.stats.events_in in %s" report)
+    | Error m -> Alcotest.failf "bad frame %s: %s" report m
+  in
+  Alcotest.(check int) "all three events counted" 3 events_in;
+  Alcotest.(check bool) "the race the last line makes is reported" true
+    (contains report "\"races\":[{");
+  shutdown ()
+
 (* An int field of a frame's [outer] object. *)
 let frame_int frame outer key =
   match W.json_of_string frame with
@@ -636,12 +679,16 @@ let suite =
         test_serve_channels_framed_sessions ());
     Alcotest.test_case "stdin transport: input errors" `Quick (fun () ->
         test_serve_channels_errors ());
+    Alcotest.test_case "stdin transport: line cap" `Quick (fun () ->
+        test_serve_channels_line_cap ());
     Alcotest.test_case "unix socket smoke" `Quick (fun () ->
         test_socket_smoke ());
     Alcotest.test_case "socket framing: odd writes, CRLF, long log" `Quick
       (fun () -> test_socket_framing ());
     Alcotest.test_case "socket line cap drops only the offender" `Quick
       (fun () -> test_socket_line_cap ());
+    Alcotest.test_case "socket: final unterminated line counts" `Quick
+      (fun () -> test_socket_final_unterminated_line ());
     Alcotest.test_case "socket soak: concurrent clients, bounded eviction"
       `Quick (fun () -> test_socket_soak ());
   ]

@@ -73,9 +73,6 @@ let gen_strategy =
         return Strategy.Sweep;
         return Strategy.Jitter;
         map (fun d -> Strategy.Pct d) (int_range 1 8);
-        map
-          (fun seeds -> Strategy.Seeds (Array.of_list seeds))
-          (list_size (int_bound 6) (int_range 0 1000));
       ])
 
 let gen_budget =
@@ -120,7 +117,7 @@ let gen_sighting =
 let gen_obs =
   QCheck.Gen.(
     map
-      (fun (((index, seed, spec, repro, sightings), (objects, fp, events, steps, wall)), hb) ->
+      (fun (((index, seed, spec, repro, sightings), (fp, events, steps, wall)), hb) ->
         Aggregate.
           {
             o_index = index;
@@ -128,7 +125,6 @@ let gen_obs =
             o_spec = spec;
             o_repro = repro;
             o_sightings = sightings;
-            o_objects = objects;
             o_fingerprint = fp;
             o_hb_fingerprint = hb;
             o_events = events;
@@ -139,9 +135,8 @@ let gen_obs =
          (pair
             (tup5 (int_range 0 100_000) int gen_string gen_string
                (list_size (int_bound 4) gen_sighting))
-            (tup5
-               (list_size (int_bound 4) gen_string)
-               int (int_range 0 1_000_000) (int_range 0 10_000_000) gen_float))
+            (quad int (int_range 0 1_000_000) (int_range 0 10_000_000)
+               gen_float))
          (opt (int_range 0 0x3FFFFFFFFFFF))))
 
 let gen_failure =
@@ -250,9 +245,9 @@ let test_future_version_rejected () =
     | Ok _ -> Alcotest.failf "%s from the future was accepted" what
   in
   check_rejected "spec"
-    (Wire.spec_of_json {|{"v":3,"t":"spec","target":"","spec":{}}|});
+    (Wire.spec_of_json {|{"v":4,"t":"spec","target":"","spec":{}}|});
   check_rejected "obs" (Wire.obs_of_json {|{"v":99,"t":"run","obs":{}}|});
-  check_rejected "row" (Wire.row_of_json {|{"v":3,"t":"run","obs":{}}|});
+  check_rejected "row" (Wire.row_of_json {|{"v":4,"t":"run","obs":{}}|});
   (* A current-version line is still fine through the same path. *)
   let f = { Aggregate.f_index = 3; f_seed = 4; f_error = "boom" } in
   Alcotest.(check bool) "current version accepted" true
@@ -260,13 +255,14 @@ let test_future_version_rejected () =
 
 (* ---- cross-version compatibility (schema 1 <-> 2) ---- *)
 
-(* A v1 run row as the previous release wrote it: no "hb_fingerprint"
-   field.  It must decode through the current (v2) decoder with
+(* A v1 run row as the first release wrote it: no "hb_fingerprint"
+   field, and the "objects" list schema 3 dropped. *)
+let v1_row =
+  {|{"v":1,"t":"run","obs":{"index":3,"seed":91,"spec":"seed 91, quantum 17","repro":"--seed 91 --quantum 17","sightings":[{"object":"Account.amt","site_a":"a","site_b":"b","kinds":"write vs read"}],"objects":["Account.amt"],"fingerprint":123456789,"events":42,"steps":400,"wall":0.5}}|}
+
+(* The v1 row must decode through the current decoder with
    [o_hb_fingerprint = None] and re-encode losslessly. *)
 let test_v1_obs_row_decodes () =
-  let v1_row =
-    {|{"v":1,"t":"run","obs":{"index":3,"seed":91,"spec":"seed 91, quantum 17","repro":"--seed 91 --quantum 17","sightings":[{"object":"Account.amt","site_a":"a","site_b":"b","kinds":"write vs read"}],"objects":["Account.amt"],"fingerprint":123456789,"events":42,"steps":400,"wall":0.5}}|}
-  in
   match Wire.obs_of_json v1_row with
   | Error m -> Alcotest.failf "v1 obs row rejected: %s" m
   | Ok o ->
@@ -278,8 +274,90 @@ let test_v1_obs_row_decodes () =
       (* Re-encoding a None-hb row omits the field, so the v1 payload
          survives the round-trip byte-unchanged (modulo the envelope
          version). *)
-      Alcotest.(check bool) "round-trips through v2 encoder" true
+      Alcotest.(check bool) "round-trips through the current encoder" true
         (Wire.obs_of_json (Wire.obs_to_json o) = Ok o)
+
+(* The field names of a run line's "obs" object. *)
+let obs_keys line =
+  match Wire.json_of_string line with
+  | Ok j -> (
+      match Wire.member "obs" j with
+      | Some (Wire.Obj fields) -> List.map fst fields
+      | _ -> Alcotest.failf "no obs object in %s" line)
+  | Error m -> Alcotest.failf "bad line %s: %s" line m
+
+(* Schema 3 dropped the run rows' racy-object names: the encoder writes
+   no "objects" key, and a v1 or v2 row that has one still decodes, the
+   field ignored like any unknown one. *)
+let test_rows_carry_no_objects () =
+  let o =
+    {
+      Aggregate.o_index = 0;
+      o_seed = 1;
+      o_spec = "s";
+      o_repro = "-r";
+      o_sightings =
+        [
+          {
+            Aggregate.s_key = Aggregate.key ~obj:"G.x" ~site_a:"a" ~site_b:"b";
+            s_kinds = "write vs write";
+          };
+        ];
+      o_fingerprint = 7;
+      o_hb_fingerprint = None;
+      o_events = 1;
+      o_steps = 10;
+      o_wall = 0.1;
+    }
+  in
+  Alcotest.(check bool) "encoded row has no objects key" false
+    (List.mem "objects" (obs_keys (Wire.obs_to_json o)));
+  Alcotest.(check bool) "the v1 fixture has one" true
+    (List.mem "objects" (obs_keys v1_row));
+  List.iter
+    (fun v ->
+      let row =
+        Astring_contains.replace ~sub:{|{"v":1|} ~by:(Printf.sprintf {|{"v":%d|} v)
+          v1_row
+      in
+      match Wire.obs_of_json row with
+      | Ok o ->
+          Alcotest.(check int) (Printf.sprintf "v%d row decodes" v) 3
+            o.Aggregate.o_index;
+          Alcotest.(check bool)
+            (Printf.sprintf "v%d row re-encodes without objects" v)
+            false
+            (List.mem "objects" (obs_keys (Wire.obs_to_json o)))
+      | Error m -> Alcotest.failf "v%d row with objects rejected: %s" v m)
+    [ 1; 2 ]
+
+(* The "seeds" strategy (an explicit seed list) went with the seed sweep
+   that built it: a spec header naming it is an unknown strategy,
+   whatever its version stamp. *)
+let test_seeds_strategy_refused () =
+  let line =
+    Wire.spec_to_json ~target:"-b needle" (Campaign.default_spec H.Config.full)
+  in
+  let seeds =
+    Astring_contains.replace ~sub:{|"strategy":{"kind":"jitter"}|}
+      ~by:{|"strategy":{"kind":"seeds","seeds":[1,2,3]}|} line
+  in
+  Alcotest.(check bool) "rewrite names the seeds strategy" true
+    (contains_sub {|"kind":"seeds"|} seeds);
+  List.iter
+    (fun v ->
+      let header =
+        Astring_contains.replace ~sub:{|{"v":3|} ~by:(Printf.sprintf {|{"v":%d|} v)
+          seeds
+      in
+      match Wire.spec_of_json header with
+      | Ok _ -> Alcotest.failf "v%d seeds header accepted" v
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "v%d refusal names the strategy: %s" v m)
+            true
+            (contains_sub "unknown strategy" m && contains_sub "seeds" m))
+    [ 2; 3 ]
 
 (* A v1 spec header (predating the "equiv" field) must decode as a
    raw-equivalence campaign. *)
@@ -293,7 +371,7 @@ let test_v1_spec_decodes_as_raw () =
      emitted for this spec. *)
   let v1_line =
     Astring_contains.replace ~sub:{|,"equiv":"raw"|} ~by:"" v2_line
-    |> Astring_contains.replace ~sub:{|{"v":2|} ~by:{|{"v":1|}
+    |> Astring_contains.replace ~sub:{|{"v":3|} ~by:{|{"v":1|}
   in
   Alcotest.(check bool) "rewrite removed the equiv field" false
     (contains_sub "equiv" v1_line);
@@ -330,7 +408,6 @@ let test_v2_rows_rejected_by_frozen_v1_decoder () =
       o_spec = "s";
       o_repro = "-r";
       o_sightings = [];
-      o_objects = [];
       o_fingerprint = 7;
       o_hb_fingerprint = Some 9;
       o_events = 1;
@@ -341,11 +418,11 @@ let test_v2_rows_rejected_by_frozen_v1_decoder () =
   List.iter
     (fun (what, line) ->
       match frozen_v1_decode_line line with
-      | Ok _ -> Alcotest.failf "frozen v1 decoder accepted a v2 %s" what
+      | Ok _ -> Alcotest.failf "frozen v1 decoder accepted a v3 %s" what
       | Error m ->
           Alcotest.(check bool)
             (what ^ " rejection names the version") true
-            (contains_sub "version 2" m))
+            (contains_sub "version 3" m))
     [
       ("spec header", Wire.spec_to_json ~target:"" spec);
       ("run row", Wire.obs_to_json obs);
@@ -433,7 +510,6 @@ let test_channel_roundtrip () =
                 s_kinds = "write vs read";
               };
             ];
-          o_objects = [ "G.data[]" ];
           o_fingerprint = 123456;
           o_hb_fingerprint = Some 654321;
           o_events = 10;
@@ -500,6 +576,10 @@ let suite =
         test_v1_spec_decodes_as_raw;
       Alcotest.test_case "v2 rows bounce off a frozen v1 decoder" `Quick
         test_v2_rows_rejected_by_frozen_v1_decoder;
+      Alcotest.test_case "run rows carry no objects field" `Quick
+        test_rows_carry_no_objects;
+      Alcotest.test_case "seeds strategy headers refused" `Quick
+        test_seeds_strategy_refused;
       Alcotest.test_case "malformed lines rejected" `Quick
         test_malformed_rejected;
       Alcotest.test_case "int/float distinction" `Quick
