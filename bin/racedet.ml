@@ -10,9 +10,10 @@
      merge    re-fold shard observation files into the single-process
               campaign report;
      serve    long-lived streaming detection daemon (stdin or a Unix
-              socket), bounded memory via quiescent-location eviction;
-     analyze  run only the static datarace analysis and report its
-              statistics;
+              socket); quiescent-location eviction bounds the tracked
+              locations, not the interned locksets;
+     analyze  report the static datarace set that run instruments
+              under the Full configuration;
      ir       dump the (optionally instrumented/optimized) IR;
      record   execute a program recording its event log (post-mortem
               phase 1);
@@ -21,6 +22,12 @@
      arena    differential testing of the registered detectors on
               generated programs with ground-truth labels;
      list     list built-in benchmarks, configurations and detectors.
+
+   A detector configuration is two selectors: -c names a row of the
+   paper's Tables 2 and 3 (Full by default), and --detector (run,
+   detect, explore, arena) names a technique from the registry — the
+   paper detector or one of the Section 9 baselines, which take their
+   own row.
 
    Exit codes: 0 success; 2 malformed input data (event logs,
    observation files, protocol streams); 124 command-line misuse,
@@ -98,10 +105,13 @@ let target_of file benchmark =
   | None, Some b -> "-b " ^ b
   | None, None -> "..."
 
-let config_of_name ?quantum ?pct ?(pct_horizon = 20_000) name seed =
+(* The configuration a command runs: the named Table 2/3 row with the
+   schedule flags applied, and [--detector]'s registry row on top. *)
+let resolve_config ?quantum ?pct ?(pct_horizon = 20_000) ?detector name seed =
   match H.Config.by_name name with
+  | None -> Error (Printf.sprintf "unknown configuration %s" name)
   | Some c ->
-      Ok
+      let c =
         {
           c with
           H.Config.seed;
@@ -111,15 +121,8 @@ let config_of_name ?quantum ?pct ?(pct_horizon = 20_000) name seed =
             | Some depth -> Drd_vm.Interp.Pct { depth; horizon = pct_horizon }
             | None -> c.H.Config.policy);
         }
-  | None -> Error (Printf.sprintf "unknown configuration %s" name)
-
-(* The configuration a command runs: the named one, with [--detector]'s
-   registry row applied on top. *)
-let resolve_config ?quantum ?pct ?pct_horizon name detector seed =
-  Result.map
-    (fun c ->
-      match detector with None -> c | Some e -> H.Registry.apply e c)
-    (config_of_name ?quantum ?pct ?pct_horizon name seed)
+      in
+      Ok (match detector with None -> c | Some e -> H.Registry.apply e c)
 
 (* ---- common arguments (one definition per flag; every subcommand
    that takes a seed/strategy/… shares these) ---- *)
@@ -139,10 +142,9 @@ let config_arg =
     value & opt string "Full"
     & info [ "c"; "config" ] ~docv:"CONFIG"
         ~doc:
-          "Detector configuration (see $(b,racedet list)).  Selecting a \
-           baseline technique by configuration name ($(b,-c Eraser), \
-           $(b,-c ObjRace), $(b,-c HappensBefore)) is deprecated: use \
-           $(b,--detector) $(b,eraser)/$(b,objrace)/$(b,vclock).")
+          "Detector configuration: a row of the paper's Tables 2 and 3 \
+           (see $(b,racedet list)).  Baseline techniques are selected \
+           with $(b,--detector).")
 
 (* The name-keyed detector registry behind `--detector`: unknown names
    are command-line misuse, so cmdliner's conv error path (exit 124)
@@ -162,10 +164,10 @@ let detector_conv : H.Registry.entry Arg.conv =
 
 let detector_doc =
   "Detection technique (see $(b,racedet list)): $(b,paper), $(b,eraser), \
-   $(b,objrace) or $(b,vclock).  Supersedes selecting baselines through \
-   $(b,-c): $(b,-c Eraser) is $(b,--detector eraser), $(b,-c ObjRace) is \
-   $(b,--detector objrace), $(b,-c HappensBefore) is $(b,--detector \
-   vclock)."
+   $(b,objrace) or $(b,vclock).  A baseline runs its own configuration \
+   row (everything instrumented, no join pseudo-locks) on the schedule \
+   the other flags select; $(b,paper) keeps the $(b,-c) row ($(b,Full) \
+   in place of $(b,Base), which detects nothing)."
 
 let detector_arg =
   Arg.(
@@ -296,53 +298,21 @@ let runs_arg =
 
 let run_json compiled (r : H.Pipeline.result) ~extra =
   let names = H.Pipeline.names_of compiled r in
+  let name f id = W.String (f names id) in
   let race_json (race : Drd_core.Report.race) =
-    let e = race.Drd_core.Report.current in
-    let p = race.Drd_core.Report.prior in
-    let lockset ls =
-      W.List
-        (List.map
-           (fun l -> W.String (Drd_core.Names.lock_name names l))
-           (Drd_core.Lockset_id.to_sorted_list ls))
-    in
-    let kind = function
-      | Drd_core.Event.Read -> W.String "read"
-      | Drd_core.Event.Write -> W.String "write"
-    in
-    W.Obj
-      [
-        ( "location",
-          W.String (Drd_core.Names.loc_name names race.Drd_core.Report.loc) );
-        ( "current",
-          W.Obj
-            [
-              ("thread", W.Int e.Drd_core.Event.thread);
-              ("kind", kind e.Drd_core.Event.kind);
-              ( "site",
-                W.String (Drd_core.Names.site_name names e.Drd_core.Event.site)
-              );
-              ("locks", lockset e.Drd_core.Event.locks);
-            ] );
-        ( "prior",
-          W.Obj
-            [
-              ( "thread",
-                match p.Drd_core.Trie.p_thread with
-                | Drd_core.Event.Thread t -> W.Int t
-                | _ -> W.String "multiple" );
-              ("kind", kind p.Drd_core.Trie.p_kind);
-              ( "site",
-                W.String (Drd_core.Names.site_name names p.Drd_core.Trie.p_site)
-              );
-              ("locks", lockset p.Drd_core.Trie.p_locks);
-            ] );
-        ( "static_peers",
-          W.List
-            (List.map
-               (fun s -> W.String s)
-               (H.Pipeline.static_peers_of_site compiled
-                  e.Drd_core.Event.site)) );
-      ]
+    let site = race.Drd_core.Report.current.Drd_core.Event.site in
+    Drd_serve.Protocol.race_json ~loc:(name Drd_core.Names.loc_name)
+      ~site:(name Drd_core.Names.site_name)
+      ~lock:(name Drd_core.Names.lock_name)
+      ~extra:
+        [
+          ( "static_peers",
+            W.List
+              (List.map
+                 (fun s -> W.String s)
+                 (H.Pipeline.static_peers_of_site compiled site)) );
+        ]
+      race
   in
   let races =
     match r.H.Pipeline.report with
@@ -388,28 +358,53 @@ let spec_class_name = function
   | Some Drd_ir.Link.Sro -> "read-only"
   | None -> "generic"
 
-(* The --site-stats table: one row per trace site that saw events or
-   was specialized — its class, the events routed through it, how many
-   took a fast-path drop and how many fell back to the full detector
-   pipeline — plus the share of all events that arrived through
-   specialized sites. *)
-let print_site_stats compiled (r : H.Pipeline.result) =
+(* The --site-stats rows: one per trace site that saw events or was
+   specialized — its class, the events routed through it, how many took
+   a fast-path drop and how many fell back to the full detector
+   pipeline ([events - fast]).  Rendered as a table or as JSON. *)
+type site_row = {
+  site : int;
+  cls : string;
+  name : string;
+  events : int;
+  fast : int;
+}
+
+let site_rows compiled (r : H.Pipeline.result) =
   match r.H.Pipeline.site_stats with
-  | None -> ()
+  | None -> None
   | Some (ev, fast) ->
       let image = compiled.H.Pipeline.image in
       let sites = compiled.H.Pipeline.prog.Drd_ir.Ir.p_sites in
+      let row s =
+        let cls = Drd_ir.Link.spec_class_of_site image s in
+        if ev.(s) > 0 || cls <> None then
+          Some
+            {
+              site = s;
+              cls = spec_class_name cls;
+              name = Drd_ir.Site_table.name sites s;
+              events = ev.(s);
+              fast = fast.(s);
+            }
+        else None
+      in
+      Some (List.filter_map row (List.init (Array.length ev) Fun.id))
+
+(* The table, plus the share of all events that arrived through
+   specialized sites. *)
+let print_site_stats compiled (r : H.Pipeline.result) =
+  match site_rows compiled r with
+  | None -> ()
+  | Some rows ->
       Fmt.pr "@.--- per-site event statistics ---@.";
       Fmt.pr "%-5s %-14s %10s %10s %10s  %s@." "site" "class" "events" "fast"
         "generic" "name";
-      for s = 0 to Array.length ev - 1 do
-        let cls = Drd_ir.Link.spec_class_of_site image s in
-        if ev.(s) > 0 || cls <> None then
-          Fmt.pr "%-5d %-14s %10d %10d %10d  %s@." s (spec_class_name cls)
-            ev.(s) fast.(s)
-            (ev.(s) - fast.(s))
-            (Drd_ir.Site_table.name sites s)
-      done;
+      List.iter
+        (fun s ->
+          Fmt.pr "%-5d %-14s %10d %10d %10d  %s@." s.site s.cls s.events
+            s.fast (s.events - s.fast) s.name)
+        rows;
       if r.H.Pipeline.events > 0 then
         Fmt.pr "events through specialized sites: %d / %d (%.1f%%)@."
           r.H.Pipeline.spec_events r.H.Pipeline.events
@@ -418,31 +413,92 @@ let print_site_stats compiled (r : H.Pipeline.result) =
           /. float_of_int r.H.Pipeline.events)
 
 let site_stats_json compiled (r : H.Pipeline.result) =
-  match r.H.Pipeline.site_stats with
+  match site_rows compiled r with
   | None -> []
-  | Some (ev, fast) ->
-      let image = compiled.H.Pipeline.image in
-      let sites = compiled.H.Pipeline.prog.Drd_ir.Ir.p_sites in
-      let rows = ref [] in
-      for s = Array.length ev - 1 downto 0 do
-        let cls = Drd_ir.Link.spec_class_of_site image s in
-        if ev.(s) > 0 || cls <> None then
-          rows :=
-            W.Obj
-              [
-                ("site", W.Int s);
-                ("name", W.String (Drd_ir.Site_table.name sites s));
-                ("class", W.String (spec_class_name cls));
-                ("events", W.Int ev.(s));
-                ("fast", W.Int fast.(s));
-                ("generic", W.Int (ev.(s) - fast.(s)));
-              ]
-            :: !rows
-      done;
+  | Some rows ->
+      let row s =
+        W.Obj
+          [
+            ("site", W.Int s.site);
+            ("name", W.String s.name);
+            ("class", W.String s.cls);
+            ("events", W.Int s.events);
+            ("fast", W.Int s.fast);
+            ("generic", W.Int (s.events - s.fast));
+          ]
+      in
       [
         ("spec_events", W.Int r.H.Pipeline.spec_events);
-        ("site_stats", W.List !rows);
+        ("site_stats", W.List (List.map row rows));
       ]
+
+(* The text report: the program's prints, the races with their static
+   peers (or a baseline's racy locations), potential deadlocks, and
+   under [-v] the pipeline statistics. *)
+let print_run compiled (r : H.Pipeline.result) ~verbose =
+  List.iter
+    (fun (tag, v) ->
+      match v with
+      | Some v -> Fmt.pr "[out] %s = %a@." tag Drd_vm.Value.pp v
+      | None -> Fmt.pr "[out] %s@." tag)
+    r.H.Pipeline.prints;
+  (match r.H.Pipeline.report with
+  | Some coll when Drd_core.Report.count coll > 0 ->
+      let names = H.Pipeline.names_of compiled r in
+      List.iter
+        (fun (race : Drd_core.Report.race) ->
+          Fmt.pr "@.%a@." (Drd_core.Report.pp_race names) race;
+          match
+            H.Pipeline.static_peers_of_site compiled
+              race.Drd_core.Report.current.Drd_core.Event.site
+          with
+          | [] -> ()
+          | peers ->
+              Fmt.pr "  statically possible racing statements:@.";
+              List.iter (Fmt.pr "    %s@.") peers)
+        (Drd_core.Report.races coll)
+  | Some _ -> Fmt.pr "@.No dataraces detected.@."
+  | None ->
+      let name = compiled.H.Pipeline.config.H.Config.name in
+      if r.H.Pipeline.races = [] then
+        Fmt.pr "@.No dataraces detected (%s).@." name
+      else begin
+        Fmt.pr "@.Dataraces reported by %s on:@." name;
+        List.iter (Fmt.pr "  %s@.") r.H.Pipeline.races
+      end);
+  (match r.H.Pipeline.deadlocks with
+  | [] -> ()
+  | dls ->
+      Fmt.pr "@.Potential deadlocks (lock-order cycles):@.";
+      List.iter
+        (fun (d : Drd_core.Lock_order.report) ->
+          Fmt.pr "  locks {%a} acquired in conflicting order by threads {%a}@."
+            Fmt.(list ~sep:(any ", ") int)
+            d.Drd_core.Lock_order.dl_locks
+            Fmt.(list ~sep:(any ", ") int)
+            d.Drd_core.Lock_order.dl_threads)
+        dls);
+  if verbose then begin
+    Fmt.pr "@.--- pipeline statistics ---@.";
+    Fmt.pr "compile time:      %.3fs@." compiled.H.Pipeline.compile_time;
+    (match compiled.H.Pipeline.static_stats with
+    | Some s -> Fmt.pr "%a@." Drd_static.Race_set.pp_stats s
+    | None -> ());
+    Fmt.pr "traces inserted:   %d@." compiled.H.Pipeline.traces_inserted;
+    Fmt.pr "traces eliminated: %d@." compiled.H.Pipeline.traces_eliminated;
+    Fmt.pr "threads:           %d@." r.H.Pipeline.threads;
+    Fmt.pr "steps:             %d@." r.H.Pipeline.steps;
+    Fmt.pr "events:            %d@." r.H.Pipeline.events;
+    Fmt.pr "wall time:         %.3fs@." r.H.Pipeline.wall_time;
+    (match r.H.Pipeline.immutability with
+    | Some s ->
+        Fmt.pr "immutability:      %a@." Drd_core.Immutability.pp_summary s
+    | None -> ());
+    match r.H.Pipeline.detector_stats with
+    | Some s -> Fmt.pr "%a@." Drd_core.Detector.pp_stats s
+    | None -> ()
+  end;
+  print_site_stats compiled r
 
 let run_cmd_impl file benchmark config_name detector seed quantum pct
     pct_horizon engine site_stats verbose json =
@@ -452,79 +508,14 @@ let run_cmd_impl file benchmark config_name detector seed quantum pct
   | Error e -> `Error (false, e)
   | Ok source -> (
       match
-        resolve_config ?quantum ?pct ~pct_horizon config_name detector seed
+        resolve_config ?quantum ?pct ~pct_horizon ?detector config_name seed
       with
       | Error e -> `Error (false, e)
-      | Ok config when json ->
-          let compiled = H.Pipeline.compile config ~source in
-          let r = H.Pipeline.run ~engine ~site_stats compiled in
-          run_json compiled r ~extra:(site_stats_json compiled r);
-          `Ok ()
       | Ok config ->
           let compiled = H.Pipeline.compile config ~source in
           let r = H.Pipeline.run ~engine ~site_stats compiled in
-          List.iter
-            (fun (tag, v) ->
-              match v with
-              | Some v -> Fmt.pr "[out] %s = %a@." tag Drd_vm.Value.pp v
-              | None -> Fmt.pr "[out] %s@." tag)
-            r.H.Pipeline.prints;
-          (match r.H.Pipeline.report with
-          | Some coll when Drd_core.Report.count coll > 0 ->
-              let names = H.Pipeline.names_of compiled r in
-              List.iter
-                (fun (race : Drd_core.Report.race) ->
-                  Fmt.pr "@.%a@." (Drd_core.Report.pp_race names) race;
-                  match
-                    H.Pipeline.static_peers_of_site compiled
-                      race.Drd_core.Report.current.Drd_core.Event.site
-                  with
-                  | [] -> ()
-                  | peers ->
-                      Fmt.pr "  statically possible racing statements:@.";
-                      List.iter (Fmt.pr "    %s@.") peers)
-                (Drd_core.Report.races coll)
-          | Some _ -> Fmt.pr "@.No dataraces detected.@."
-          | None ->
-              if r.H.Pipeline.races = [] then
-                Fmt.pr "@.No dataraces detected (%s).@." config.H.Config.name
-              else begin
-                Fmt.pr "@.Dataraces reported by %s on:@." config.H.Config.name;
-                List.iter (Fmt.pr "  %s@.") r.H.Pipeline.races
-              end);
-          (match r.H.Pipeline.deadlocks with
-          | [] -> ()
-          | dls ->
-              Fmt.pr "@.Potential deadlocks (lock-order cycles):@.";
-              List.iter
-                (fun (d : Drd_core.Lock_order.report) ->
-                  Fmt.pr "  locks {%a} acquired in conflicting order by threads {%a}@."
-                    Fmt.(list ~sep:(any ", ") int)
-                    d.Drd_core.Lock_order.dl_locks
-                    Fmt.(list ~sep:(any ", ") int)
-                    d.Drd_core.Lock_order.dl_threads)
-                dls);
-          if verbose then begin
-            Fmt.pr "@.--- pipeline statistics ---@.";
-            Fmt.pr "compile time:      %.3fs@." compiled.H.Pipeline.compile_time;
-            (match compiled.H.Pipeline.static_stats with
-            | Some s -> Fmt.pr "%a@." Drd_static.Race_set.pp_stats s
-            | None -> ());
-            Fmt.pr "traces inserted:   %d@." compiled.H.Pipeline.traces_inserted;
-            Fmt.pr "traces eliminated: %d@." compiled.H.Pipeline.traces_eliminated;
-            Fmt.pr "threads:           %d@." r.H.Pipeline.threads;
-            Fmt.pr "steps:             %d@." r.H.Pipeline.steps;
-            Fmt.pr "events:            %d@." r.H.Pipeline.events;
-            Fmt.pr "wall time:         %.3fs@." r.H.Pipeline.wall_time;
-            (match r.H.Pipeline.immutability with
-            | Some s ->
-                Fmt.pr "immutability:      %a@." Drd_core.Immutability.pp_summary s
-            | None -> ());
-            match r.H.Pipeline.detector_stats with
-            | Some s -> Fmt.pr "%a@." Drd_core.Detector.pp_stats s
-            | None -> ()
-          end;
-          print_site_stats compiled r;
+          if json then run_json compiled r ~extra:(site_stats_json compiled r)
+          else print_run compiled r ~verbose;
           `Ok ())
 
 let run_cmd =
@@ -539,19 +530,21 @@ let run_cmd =
 
 (* ---- analyze ---- *)
 
+(* The race set [run] instruments: Full's, computed on the peeled IR by
+   the same compile. *)
 let analyze_impl file benchmark =
   or_compile_error @@ fun () ->
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source ->
-      let tprog = H.Pipeline.frontend ~source in
-      let prog = Drd_ir.Lower.lower_program tprog in
-      let rs = Drd_static.Race_set.compute prog in
-      Fmt.pr "%a@." Drd_static.Race_set.pp_stats (Drd_static.Race_set.stats rs);
+      let compiled = H.Pipeline.compile H.Config.full ~source in
+      Option.iter
+        (Fmt.pr "%a@." Drd_static.Race_set.pp_stats)
+        compiled.H.Pipeline.static_stats;
       `Ok ()
 
 let analyze_cmd =
-  let doc = "run the static datarace analysis only" in
+  let doc = "report the static datarace set run instruments (Full)" in
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(ret (const analyze_impl $ file_arg $ benchmark_arg))
@@ -563,7 +556,7 @@ let ir_impl file benchmark config_name meth =
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source -> (
-      match config_of_name config_name 42 with
+      match resolve_config config_name 42 with
       | Error e -> `Error (false, e)
       | Ok config ->
           let compiled = H.Pipeline.compile config ~source in
@@ -628,7 +621,7 @@ let read_log log_file =
   | exception Failure e -> data_error "%s" e
   | log -> log
 
-(* A baseline configuration replays the log through the registry's
+(* A baseline ([--detector]) replays the log through its registry
    module — the generic sibling of the paper detector's post-mortem
    phase below.  Site/location names are not part of the log, so
    locations print by id. *)
@@ -659,10 +652,10 @@ let detect_replay_module (e : H.Registry.entry) m log_file json =
   `Ok ()
 
 (* [-c] and [--detector] resolve to one configuration first, as for
-   [run]; its detector then picks the replay, so [-c HappensBefore] and
-   [--detector vclock] replay the same module. *)
+   [run]; its detector then picks the replay: a baseline's registry
+   module, or the paper detector with the row's knobs. *)
 let detect_impl log_file config_name detector pairs benchmark json =
-  match resolve_config config_name detector 42 with
+  match resolve_config ?detector config_name 42 with
   | Error e -> `Error (false, e)
   | Ok config -> (
     match
@@ -776,9 +769,9 @@ let parse_shard = function
           | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (Some (i, n))
           | _ -> bad ()))
 
-let explore_impl file benchmark config_name strategy depth workers batch
-    no_ctx_reuse runs max_seconds plateau seed quantum pct_horizon equiv shard
-    emit_obs no_timing json =
+let explore_impl file benchmark config_name detector strategy depth workers
+    batch no_ctx_reuse runs max_seconds plateau seed quantum pct_horizon equiv
+    shard emit_obs no_timing json =
   or_compile_error @@ fun () ->
   match batch with
   | Some b when b < 1 ->
@@ -787,7 +780,7 @@ let explore_impl file benchmark config_name strategy depth workers batch
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source -> (
-      match config_of_name ?quantum config_name seed with
+      match resolve_config ?quantum ?detector config_name seed with
       | Error e -> `Error (false, e)
       | Ok config -> (
           match E.Strategy.of_string strategy with
@@ -902,7 +895,7 @@ let explore_cmd =
     Term.(
       ret
         (const explore_impl $ file_arg $ benchmark_arg $ config_arg
-       $ strategy_arg $ depth_arg $ workers_arg $ batch_arg
+       $ detector_arg $ strategy_arg $ depth_arg $ workers_arg $ batch_arg
        $ no_ctx_reuse_arg $ runs_arg $ max_seconds
        $ plateau $ seed_arg $ quantum_arg $ pct_horizon_arg $ equiv $ shard
        $ emit_obs $ no_timing_arg $ json_arg))
@@ -1041,9 +1034,7 @@ let merge_cmd =
 (* ---- serve: the long-lived streaming detection daemon ---- *)
 
 let serve_impl config_name socket stats_every evict_high evict_low =
-  match
-    Result.bind (config_of_name config_name 42) Drd_serve.Session.events_config
-  with
+  match resolve_config config_name 42 with
   | Error e -> `Error (false, e)
   | Ok config -> (
       match
@@ -1097,13 +1088,15 @@ let serve_cmd =
          stdin/stdout.  With it, a Unix-domain socket accepts any number \
          of concurrent client connections.";
       `P
-        "Memory is bounded with $(b,--evict-high): when more locations \
-         than that are tracked, the least-recently-accessed ones are \
-         retired down to $(b,--evict-low) (default half of high).  \
-         Eviction never changes the report for a location that is never \
-         evicted; a retired location that is accessed again re-enters as \
-         brand new.  Periodic machine-readable stats lines go to stderr, \
-         never into the protocol stream.";
+        "$(b,--evict-high) bounds the tracked locations: when more than \
+         that are tracked, the least-recently-accessed ones are retired \
+         down to $(b,--evict-low) (default half of high).  Eviction never \
+         changes the report for a location that is never evicted; a \
+         retired location that is accessed again re-enters as brand new.  \
+         It does not bound the interned locksets, which are never freed: \
+         a feed whose lock ids keep changing grows the daemon's memory \
+         with every new lockset.  Periodic machine-readable stats lines \
+         go to stderr, never into the protocol stream.";
     ]
   in
   let socket =
@@ -1311,7 +1304,7 @@ let list_impl () =
         c.H.Config.name c.H.Config.static_analysis c.H.Config.weaker_elim
         c.H.Config.loop_peel c.H.Config.use_cache c.H.Config.use_ownership)
     H.Config.all;
-  Fmt.pr "@.Detectors (run/detect/arena --detector):@.";
+  Fmt.pr "@.Detectors (run/detect/explore/arena --detector):@.";
   List.iter
     (fun (e : H.Registry.entry) ->
       Fmt.pr "  %-8s %s%s@." e.H.Registry.name e.H.Registry.describe

@@ -10,11 +10,15 @@ module H = Drd_harness
 let count config source =
   (snd (H.Pipeline.run_source config source)).H.Pipeline.racy_objects
 
+(* A technique's own row, on Full's schedule or [seed]. *)
+let row ?(seed = H.Config.full.H.Config.seed) e =
+  H.Registry.apply e { H.Config.full with H.Config.seed }
+
 let () =
   Fmt.pr "=== mtrt: statistics under a common lock, read after join ===@.";
   let b = Option.get (H.Programs.find "mtrt") in
   let ours = count H.Config.full b.H.Programs.b_source in
-  let eraser = count H.Config.eraser b.H.Programs.b_source in
+  let eraser = count (row H.Registry.eraser) b.H.Programs.b_source in
   Fmt.pr "ours:   %s@." (String.concat ", " ours);
   Fmt.pr "Eraser: %s@." (String.concat ", " eraser);
   Fmt.pr
@@ -29,7 +33,8 @@ let () =
     (fun (bench : H.Programs.benchmark) ->
       Fmt.pr "%-10s %6d %9d@." bench.H.Programs.b_name
         (List.length (count H.Config.full bench.H.Programs.b_source))
-        (List.length (count H.Config.objrace bench.H.Programs.b_source)))
+        (List.length
+           (count (row H.Registry.objrace) bench.H.Programs.b_source)))
     H.Programs.benchmarks;
   Fmt.pr
     "Treating a method call on an object as a write to it makes even a@.";
@@ -38,7 +43,7 @@ let () =
   let src = H.Programs.figure2 ~same_pq:true () in
   let hb_hits = ref 0 in
   for seed = 1 to 20 do
-    if count { H.Config.happens_before with H.Config.seed } src <> [] then
+    if count (row ~seed H.Registry.vclock) src <> [] then
       incr hb_hits
   done;
   Fmt.pr "ours: reported on 20/20 schedules; happens-before: %d/20.@." !hb_hits

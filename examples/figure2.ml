@@ -28,7 +28,9 @@ let () =
   (* Sweep schedules for the happens-before baseline. *)
   let hits = ref 0 and misses = ref 0 in
   for seed = 1 to 20 do
-    let config = { H.Config.happens_before with H.Config.seed } in
+    let config =
+      H.Registry.apply H.Registry.vclock { H.Config.full with H.Config.seed }
+    in
     let _, hb =
       H.Pipeline.run_source config (H.Programs.figure2 ~same_pq:true ())
     in

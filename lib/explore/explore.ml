@@ -1,5 +1,6 @@
 module Pipeline = Drd_harness.Pipeline
 module Config = Drd_harness.Config
+module Registry = Drd_harness.Registry
 module Interp = Drd_vm.Interp
 module Sink = Drd_vm.Sink
 module Memloc = Drd_vm.Memloc
@@ -567,11 +568,21 @@ let run_campaign ?shard ?batch ?(reuse_ctx = true) (sp : spec) ~source : report
 (* ---- report rendering (shared by explore and merge so their output
    is byte-identical) ---- *)
 
+(* The racedet flags that select a campaign's configuration in a
+   reproduce line: a baseline by its registry name, anything else by its
+   Table 2/3 row. *)
+let selector (c : Config.t) =
+  match Registry.of_detector c.Config.detector with
+  | Some e when e.Registry.detector <> Config.Ours ->
+      "--detector " ^ e.Registry.name
+  | _ -> "-c " ^ c.Config.name
+
 let report_text ?(timing = true) ~target (r : report) =
   let b = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let stats = r.r_stats in
   let strategy_name = Strategy.name r.r_spec.e_strategy in
+  let selector = selector r.r_spec.e_config in
   if timing then
     pr
       "explored %d schedules (%s, %d workers) in %.2fs: %.1f runs/s, %.0f \
@@ -614,8 +625,8 @@ let report_text ?(timing = true) ~target (r : report) =
            else " (" ^ d.Aggregate.d_kinds ^ ")");
         pr "          first seen in run %d (%s)\n" d.Aggregate.d_first_index
           d.Aggregate.d_first_spec;
-        pr "          reproduce: racedet run %s -c %s %s\n" target
-          r.r_spec.e_config.Config.name d.Aggregate.d_first_repro)
+        pr "          reproduce: racedet run %s %s %s\n" target selector
+          d.Aggregate.d_first_repro)
       r.r_races;
     match stats.Aggregate.st_discovery with
     | [] | [ _ ] -> ()

@@ -1,11 +1,12 @@
 module Memloc = Drd_vm.Memloc
 
 (* Named detector configurations: the rows and columns of the paper's
-   Tables 2 and 3, plus the three related-work baselines of Section 9. *)
+   Tables 2 and 3.  The Section 9 baselines are other techniques, not
+   stages of this pipeline: their rows come from Registry.apply. *)
 
 type detector =
   | Ours (* the trie-based detector of Section 3 *)
-  | Eraser
+  | Eraser (* the Section 9 baselines, whose rows Registry owns *)
   | ObjRace
   | HappensBefore
   | NoDetect (* uninstrumented "Base" *)
@@ -69,45 +70,12 @@ let fields_merged =
 
 let no_ownership = { full with name = "NoOwnership"; use_ownership = false }
 
-(* Baselines monitor everything and have no join modeling. *)
-let baseline name detector =
-  {
-    full with
-    name;
-    detector;
-    static_analysis = false;
-    weaker_elim = false;
-    loop_peel = false;
-    pseudo_locks = false;
-    granularity =
-      (if detector = ObjRace then Memloc.Per_object else Memloc.Per_field);
-  }
-
-let eraser = baseline "Eraser" Eraser
-
-let objrace = baseline "ObjRace" ObjRace
-
-let happens_before = baseline "HappensBefore" HappensBefore
-
 let table2_configs =
   [ base; full; no_static; no_dominators; no_peeling; no_cache ]
 
 let table3_configs = [ full; fields_merged; no_ownership ]
 
-let all =
-  [
-    base;
-    full;
-    no_static;
-    no_dominators;
-    no_peeling;
-    no_cache;
-    fields_merged;
-    no_ownership;
-    eraser;
-    objrace;
-    happens_before;
-  ]
+let all = table2_configs @ [ fields_merged; no_ownership ]
 
 let by_name name =
   List.find_opt (fun c -> String.lowercase_ascii c.name = String.lowercase_ascii name) all

@@ -1,12 +1,13 @@
 (** Named detector configurations: the rows/columns of the paper's
-    Tables 2 and 3 plus the Section 9 baselines.  Each toggles one
-    pipeline stage relative to {!full}. *)
+    Tables 2 and 3.  Each toggles one pipeline stage relative to
+    {!full}.  The Section 9 baselines are other techniques: their rows
+    come from {!Registry.apply}. *)
 
 module Memloc = Drd_vm.Memloc
 
 type detector =
   | Ours  (** The trie-based detector of Section 3. *)
-  | Eraser
+  | Eraser  (** The Section 9 baselines; see {!Registry}. *)
   | ObjRace
   | HappensBefore
   | NoDetect  (** Uninstrumented — the "Base" timing reference. *)
@@ -53,14 +54,6 @@ val fields_merged : t
 
 val no_ownership : t
 
-val eraser : t
-(** Full-stream instrumentation, no join pseudo-locks. *)
-
-val objrace : t
-(** Object granularity + call-as-write events, no join pseudo-locks. *)
-
-val happens_before : t
-
 val table2_configs : t list
 (** [Base; Full; NoStatic; NoDominators; NoPeeling; NoCache]. *)
 
@@ -68,6 +61,7 @@ val table3_configs : t list
 (** [Full; FieldsMerged; NoOwnership]. *)
 
 val all : t list
+(** The eight rows above, [base] to [no_ownership]. *)
 
 val by_name : string -> t option
 (** Case-insensitive lookup. *)

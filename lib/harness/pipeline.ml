@@ -131,8 +131,6 @@ type result = {
   steps : int;
   threads : int;
   wall_time : float;
-  trie_nodes : int;
-  locations_tracked : int;
   heap : Heap.t; (* final heap, for decoding identities in reports *)
   deadlocks : Lock_order.report list;
       (* potential deadlocks from the lock-order graph (Section 10
@@ -684,12 +682,6 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     steps = r.Interp.r_steps;
     threads = r.Interp.r_max_threads;
     wall_time = wall;
-    trie_nodes =
-      (match detector_stats with Some s -> s.Detector.trie_nodes | None -> 0);
-    locations_tracked =
-      (match detector_stats with
-      | Some s -> s.Detector.locations_tracked
-      | None -> 0);
     heap;
     deadlocks =
       (match config.Config.detector with

@@ -70,8 +70,6 @@ type result = {
   steps : int;  (** Instructions executed. *)
   threads : int;  (** Dynamic thread count (Table 1). *)
   wall_time : float;  (** Seconds of VM execution. *)
-  trie_nodes : int;
-  locations_tracked : int;
   heap : Drd_vm.Heap.t;  (** Final heap, for decoding identities. *)
   deadlocks : Lock_order.report list;
       (** Potential deadlocks from the dynamic lock-order graph (the

@@ -1,10 +1,13 @@
 (** The name-keyed detector registry.
 
     One row per race-detection technique: the paper detector plus the
-    three baselines.  The CLI (`--detector NAME`) and the differential
-    arena resolve techniques here; `lib/harness/pipeline.ml` drives a
-    baseline through its {!Drd_core.Detector_intf.S} module
-    ({!baseline}) instead of per-baseline plumbing. *)
+    three Section 9 baselines.  It is the only module that knows a
+    technique's configuration: {!Config} names the paper pipeline's
+    Table 2/3 rows, and a baseline's row comes from {!apply}.  The CLI
+    (`--detector NAME`) and the differential arena resolve techniques
+    here; `lib/harness/pipeline.ml` drives a baseline through its
+    {!Drd_core.Detector_intf.S} module ({!baseline}) instead of
+    per-baseline plumbing. *)
 
 type entry = {
   name : string;  (** Canonical registry name, e.g. ["vclock"]. *)
@@ -13,6 +16,11 @@ type entry = {
       (** The configuration variant the name denotes. *)
   describe : string;  (** One-line human description for [racedet list]. *)
 }
+
+val eraser : entry
+val objrace : entry
+val vclock : entry
+(** The three baselines, for callers that run one by name. *)
 
 val all : entry list
 (** [paper], [eraser], [objrace], [vclock] — in presentation order. *)
@@ -32,7 +40,9 @@ val baseline : Config.detector -> (module Drd_core.Detector_intf.S) option
 
 val apply : entry -> Config.t -> Config.t
 (** The canonical harness configuration for running [entry]: keeps the
-    caller's configuration when it already selects the paper detector,
-    otherwise the baseline's standard row (no static filtering, no join
-    pseudo-locks, per-object granularity for objrace) with the caller's
-    seed/quantum/policy carried over. *)
+    caller's configuration when it already selects the paper detector
+    (otherwise {!Config.full}); a baseline gets its standard row, named
+    ["Eraser"], ["ObjRace"] or ["HappensBefore"] — everything
+    instrumented, no static filtering, no join pseudo-locks, per-object
+    granularity for objrace.  The caller's seed/quantum/policy are
+    carried over. *)

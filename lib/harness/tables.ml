@@ -152,7 +152,9 @@ let figure2 () =
   fpf "  (the feasible race is still reported: lockset-based detection@.";
   fpf "   does not depend on the observed lock acquisition order)@.";
   let _, hb =
-    Pipeline.run_source Config.happens_before (Programs.figure2 ~same_pq:true ())
+    Pipeline.run_source
+      (Registry.apply Registry.vclock Config.full)
+      (Programs.figure2 ~same_pq:true ())
   in
   fpf "happens-before baseline on p == q: races on [%s]@.@."
     (String.concat ", " hb.Pipeline.racy_objects)
@@ -240,8 +242,9 @@ let space () =
   fpf "Section 8.2: space consumed by the detector (tsp)@.";
   let b = Option.get (Programs.find "tsp") in
   let _, r = Pipeline.run_source Config.full b.Programs.b_source in
+  let s = Option.get r.Pipeline.detector_stats in
   fpf "per-location tries: %d nodes for %d memory locations@."
-    r.Pipeline.trie_nodes r.Pipeline.locations_tracked;
+    s.Drd_core.Detector.trie_nodes s.Drd_core.Detector.locations_tracked;
   (* The multi-location packing scheme the paper alludes to. *)
   let compiled = Pipeline.compile Config.full ~source:b.Programs.b_source in
   let log, _ = Pipeline.record_log compiled in
@@ -259,7 +262,7 @@ let space () =
   let ps = Drd_core.Detector.stats det in
   fpf "packed trie:        %d shared nodes for the same %d locations@.@."
     ps.Drd_core.Detector.trie_nodes ps.Drd_core.Detector.locations_tracked;
-  (r.Pipeline.trie_nodes, r.Pipeline.locations_tracked)
+  (s.Drd_core.Detector.trie_nodes, s.Drd_core.Detector.locations_tracked)
 
 (* ---------------- Section 8.3: the mtrt join idiom ------------------ *)
 
@@ -267,7 +270,12 @@ let join_example () =
   fpf "Section 8.3: I/O statistics under a common lock + join (mtrt)@.";
   let b = Option.get (Programs.find "mtrt") in
   let ours = snd (Pipeline.run_source Config.full b.Programs.b_source) in
-  let eraser = snd (Pipeline.run_source Config.eraser b.Programs.b_source) in
+  let eraser =
+    snd
+      (Pipeline.run_source
+         (Registry.apply Registry.eraser Config.full)
+         b.Programs.b_source)
+  in
   let stats_flagged objs = List.exists (contains_sub "Stats") objs in
   fpf "our detector:    Stats flagged = %b (locksets {S1,sync},{S2,sync},{S1,S2}@."
     (stats_flagged ours.Pipeline.racy_objects);
@@ -290,8 +298,7 @@ let baselines () =
               .Pipeline.racy_objects
         in
         let cells =
-          List.map count
-            [ Config.full; Config.eraser; Config.objrace; Config.happens_before ]
+          List.map (fun e -> count (Registry.apply e Config.full)) Registry.all
         in
         fpf "%-10s %6d %8d %9d %15d@." b.Programs.b_name (List.nth cells 0)
           (List.nth cells 1) (List.nth cells 2) (List.nth cells 3);

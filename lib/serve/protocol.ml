@@ -107,38 +107,41 @@ let kind_json = function
   | Event.Read -> Wire.String "read"
   | Event.Write -> Wire.String "write"
 
-let lockset_json ls =
-  Wire.List (List.map (fun l -> Wire.Int l) (Lockset_id.to_sorted_list ls))
+let int n = Wire.Int n
 
-(* The id-level twin of the CLI's named race JSON: the daemon only sees
-   the event stream, never the program, so sites/locks/locations stay
-   integers exactly as they appear in the log. *)
-let race_json (race : Report.race) =
+(* The one race renderer.  The daemon only sees the event stream, never
+   the program, so by default locations, sites and locks stay integers
+   exactly as they appear in the log; [racedet run --json] passes
+   printers that name them and appends the static peers as [extra]. *)
+let race_json ?(loc = int) ?(site = int) ?(lock = int) ?(extra = [])
+    (race : Report.race) =
   let e = race.Report.current in
   let p = race.Report.prior in
+  let locks ls = Wire.List (List.map lock (Lockset_id.to_sorted_list ls)) in
   Wire.Obj
-    [
-      ("location", Wire.Int race.Report.loc);
-      ( "current",
-        Wire.Obj
-          [
-            ("thread", Wire.Int e.Event.thread);
-            ("kind", kind_json e.Event.kind);
-            ("site", Wire.Int e.Event.site);
-            ("locks", lockset_json e.Event.locks);
-          ] );
-      ( "prior",
-        Wire.Obj
-          [
-            ( "thread",
-              match p.Trie.p_thread with
-              | Event.Thread t -> Wire.Int t
-              | _ -> Wire.String "multiple" );
-            ("kind", kind_json p.Trie.p_kind);
-            ("site", Wire.Int p.Trie.p_site);
-            ("locks", lockset_json p.Trie.p_locks);
-          ] );
-    ]
+    ([
+       ("location", loc race.Report.loc);
+       ( "current",
+         Wire.Obj
+           [
+             ("thread", Wire.Int e.Event.thread);
+             ("kind", kind_json e.Event.kind);
+             ("site", site e.Event.site);
+             ("locks", locks e.Event.locks);
+           ] );
+       ( "prior",
+         Wire.Obj
+           [
+             ( "thread",
+               match p.Trie.p_thread with
+               | Event.Thread t -> Wire.Int t
+               | _ -> Wire.String "multiple" );
+             ("kind", kind_json p.Trie.p_kind);
+             ("site", site p.Trie.p_site);
+             ("locks", locks p.Trie.p_locks);
+           ] );
+     ]
+    @ extra)
 
 let race_frame ~session ~seq race =
   line "race"

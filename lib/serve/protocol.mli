@@ -65,11 +65,20 @@ val control_to_line : control -> string
 
 val hello_frame : session:string -> kind:kind -> string
 
-val race_json : Drd_core.Report.race -> Wire.json
-(** The id-level rendering of one race: location, current access
+val race_json :
+  ?loc:(Drd_core.Event.loc_id -> Wire.json) ->
+  ?site:(Drd_core.Event.site_id -> Wire.json) ->
+  ?lock:(Drd_core.Event.lock_id -> Wire.json) ->
+  ?extra:(string * Wire.json) list ->
+  Drd_core.Report.race ->
+  Wire.json
+(** The rendering of one race: location, current access
     (thread/kind/site/sorted lockset) and the prior access it races
-    with (thread or ["multiple"]).  Shared by the incremental race
-    frames, the final report body and [racedet detect --json]. *)
+    with (thread or ["multiple"]), then the [extra] fields.  Locations,
+    sites and locks print through [loc], [site] and [lock], integers by
+    default.  The id-level form is shared by the incremental race
+    frames, the final report body and [racedet detect --json];
+    [racedet run --json] names them and adds the static peers. *)
 
 val race_frame : session:string -> seq:int -> Drd_core.Report.race -> string
 

@@ -97,18 +97,15 @@ let handle_control conf metrics conn ~live = function
           | None ->
               fatal metrics conn
                 (Printf.sprintf "unknown detector configuration %S" c_config)
-          | Some config -> (
-              match (c_kind, Session.events_config config) with
-              | Protocol.Events, Error m -> fatal metrics conn m
-              | _ ->
-                  let id = if c_session = "" then "default" else c_session in
-                  Metrics.on_session_open metrics;
-                  conn.c_session <-
-                    Some
-                      (Session.create ~pool:conn.c_pool ~id ~kind:c_kind
-                         ~config ~eviction:conf.sv_eviction ());
-                  conn.c_send (Protocol.hello_frame ~session:id ~kind:c_kind);
-                  Continue)))
+          | Some config ->
+              let id = if c_session = "" then "default" else c_session in
+              Metrics.on_session_open metrics;
+              conn.c_session <-
+                Some
+                  (Session.create ~pool:conn.c_pool ~id ~kind:c_kind ~config
+                     ~eviction:conf.sv_eviction ());
+              conn.c_send (Protocol.hello_frame ~session:id ~kind:c_kind);
+              Continue))
   | Protocol.Stats_req ->
       conn.c_send (Protocol.stats_frame (stats_json_now metrics ~live));
       Continue

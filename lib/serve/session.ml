@@ -1,7 +1,6 @@
 module Detector = Drd_core.Detector
 module Event_log = Drd_core.Event_log
 module Report = Drd_core.Report
-module Config = Drd_harness.Config
 module Pipeline = Drd_harness.Pipeline
 module Explore = Drd_explore.Explore
 module Aggregate = Drd_explore.Aggregate
@@ -37,20 +36,6 @@ type pool = {
 }
 
 let pool () = { p_entries = [] }
-
-(* An events session runs the paper detector: its report body is that
-   detector's collector and funnel statistics.  A configuration that
-   selects a baseline technique is refused rather than silently run as
-   the paper detector. *)
-let events_config (config : Config.t) =
-  match config.Config.detector with
-  | Config.Eraser | Config.ObjRace | Config.HappensBefore ->
-      Error
-        (Printf.sprintf
-           "configuration %s selects a baseline detector; events sessions \
-            run the paper detector only"
-           config.Config.name)
-  | Config.Ours | Config.NoDetect -> Ok config
 
 let create ?pool ~id ~kind ~config ~eviction () =
   let state =

@@ -7,7 +7,18 @@ module E = Drd_baselines.Eraser
 module O = Drd_baselines.Objrace
 module H = Drd_baselines.Happens_before
 module V = Drd_baselines.Vclock
+module Pipeline = Drd_harness.Pipeline
+module Registry = Drd_harness.Registry
 open Drd_core
+
+(* A baseline's racy locations: its own registry row over the tests'
+   configuration (seed, quantum), scalar optimization off as there. *)
+let baseline_races ?seed e source =
+  let row = Registry.apply e (Pipe.config ?seed ()) in
+  (snd
+     (Pipeline.run_source { row with Drd_harness.Config.ir_optimize = false }
+        source))
+    .Pipeline.races
 
 (* Feed one access through the common Detector_intf.S entry point —
    the only access path the baselines expose now that the Event.t
@@ -121,8 +132,8 @@ let join_stats_src =
 
 let test_join_idiom_ours_vs_eraser () =
   let ours = Pipe.run join_stats_src in
-  Alcotest.(check (list string)) "ours: silent" [] ours.Pipe.race_locs;
-  let eraser, _ = Pipe.run_baseline Pipe.Eraser join_stats_src in
+  Alcotest.(check (list string)) "ours: silent" [] ours.Pipeline.races;
+  let eraser = baseline_races Registry.eraser join_stats_src in
   Alcotest.(check bool) "Eraser: spurious report on ops" true
     (List.exists (fun l -> Astring_contains.contains l ".ops") eraser)
 
@@ -132,8 +143,8 @@ let test_join_idiom_ours_vs_eraser () =
 let test_objrace_spurious_on_synchronized_counter () =
   let src = Test_vm.counter_src ~sync:true in
   let ours = Pipe.run src in
-  Alcotest.(check (list string)) "ours: silent" [] ours.Pipe.race_locs;
-  let objrace, _ = Pipe.run_baseline Pipe.ObjRace src in
+  Alcotest.(check (list string)) "ours: silent" [] ours.Pipeline.races;
+  let objrace = baseline_races Registry.objrace src in
   Alcotest.(check bool) "objrace: spurious report" true
     (List.length objrace > 0)
 
@@ -142,9 +153,9 @@ let test_objrace_superset_of_ours () =
      objects we report. *)
   let src = Test_vm.counter_src ~sync:false in
   let ours = Pipe.run src in
-  let objrace, _ = Pipe.run_baseline Pipe.ObjRace src in
+  let objrace = baseline_races Registry.objrace src in
   Alcotest.(check bool) "ours found the race" true
-    (List.length ours.Pipe.race_locs > 0);
+    (List.length ours.Pipeline.races > 0);
   Alcotest.(check bool) "objrace reports too" true (List.length objrace > 0)
 
 (* The feasible-race example (Figure 2 with p == q): our lockset-based
@@ -159,8 +170,8 @@ let test_feasible_race_hb_schedule_dependent () =
     (fun seed ->
       let ours = Pipe.run ~seed src in
       Alcotest.(check int) "ours reports under every schedule" 1
-        (List.length ours.Pipe.race_locs);
-      let hb, _ = Pipe.run_baseline ~seed Pipe.HappensBefore src in
+        (List.length ours.Pipeline.races);
+      let hb = baseline_races ~seed Registry.vclock src in
       let hit = List.exists (fun l -> Astring_contains.contains l ".f") hb in
       if hit then incr hb_hits else incr hb_misses)
     seeds;
@@ -172,11 +183,11 @@ let test_feasible_race_hb_schedule_dependent () =
   Alcotest.(check bool) "HB catches on some schedules" true (!hb_hits > 0)
 
 let test_hb_no_false_positive_on_synchronized () =
-  let hb, _ = Pipe.run_baseline Pipe.HappensBefore (Test_vm.counter_src ~sync:true) in
+  let hb = baseline_races Registry.vclock (Test_vm.counter_src ~sync:true) in
   Alcotest.(check (list string)) "HB quiet on synchronized counter" [] hb
 
 let test_hb_catches_plain_race () =
-  let hb, _ = Pipe.run_baseline Pipe.HappensBefore (Test_vm.counter_src ~sync:false) in
+  let hb = baseline_races Registry.vclock (Test_vm.counter_src ~sync:false) in
   Alcotest.(check bool) "HB reports the counter race" true
     (List.exists (fun l -> Astring_contains.contains l ".n") hb)
 

@@ -108,13 +108,6 @@ let test_cli_misuse_is_exit_124 () =
   Alcotest.(check int) "inverted watermarks: exit 124" 124 code;
   let code, _, _ = run [ "serve"; "--evict-low"; "3" ] in
   Alcotest.(check int) "low without high: exit 124" 124 code;
-  (* serve runs the paper detector: a baseline configuration is refused,
-     not silently replaced. *)
-  let code, out, err = run ~stdin:good_log [ "serve"; "-c"; "Eraser" ] in
-  Alcotest.(check int) "serve -c Eraser: exit 124" 124 code;
-  Alcotest.(check string) "serve -c Eraser: nothing served" "" out;
-  Alcotest.(check bool) "serve -c Eraser: racedet: diagnostic" true
-    (contains err "racedet: configuration Eraser");
   let code, _, err = run [ "run"; "-b"; "figure2"; "--detector"; "nosuch" ] in
   Alcotest.(check int) "unknown detector: exit 124" 124 code;
   Alcotest.(check bool) "diagnostic lists the registry" true
@@ -312,28 +305,86 @@ let with_recorded_log f =
       Alcotest.(check int) "record exit 0" 0 code;
       f path)
 
-let test_detect_config_selects_baseline () =
-  (* [-c NAME] and [--detector name] resolve to one configuration, so a
-     baseline named either way replays the same registry module. *)
+let test_baseline_selector () =
+  (* The baselines are registry techniques, not configurations: their
+     retired [-c] names are unknown on every command that takes [-c]
+     (so serve never runs the paper detector in their place), and
+     [detect --detector NAME] replays the log through that baseline's
+     module. *)
   with_recorded_log (fun log ->
       List.iter
         (fun (config, detector) ->
-          let code, by_config, _ =
-            run [ "detect"; log; "-c"; config; "--json" ]
-          in
-          Alcotest.(check int) (config ^ ": exit 0") 0 code;
-          let code, by_detector, _ =
+          List.iter
+            (fun args ->
+              let code, out, err =
+                run ~stdin:good_log (args @ [ "-c"; config ])
+              in
+              let what = String.concat " " args ^ " -c " ^ config in
+              Alcotest.(check int) (what ^ ": exit 124") 124 code;
+              Alcotest.(check string) (what ^ ": nothing on stdout") "" out;
+              Alcotest.(check bool) (what ^ ": unknown configuration") true
+                (contains err ("racedet: unknown configuration " ^ config)))
+            [
+              [ "run"; "-b"; "figure2" ];
+              [ "explore"; "-b"; "figure2"; "-n"; "1" ];
+              [ "detect"; log ];
+              [ "serve" ];
+            ];
+          let code, out, _ =
             run [ "detect"; log; "--detector"; detector; "--json" ]
           in
           Alcotest.(check int) (detector ^ ": exit 0") 0 code;
-          Alcotest.(check string)
-            ("-c " ^ config ^ " = --detector " ^ detector)
-            by_detector by_config)
+          Alcotest.(check bool) (detector ^ ": that baseline's replay") true
+            (contains out (Printf.sprintf "{\"detector\":\"%s\"" detector)))
         [
           ("Eraser", "eraser");
           ("ObjRace", "objrace");
           ("HappensBefore", "vclock");
         ])
+
+(* A baseline campaign's reproduce line selects the baseline with
+   [--detector], and replaying it reports the race. *)
+let test_baseline_campaign_replays () =
+  let code, out, _ =
+    run
+      [
+        "explore"; "-b"; "mtrt"; "--detector"; "eraser"; "-n"; "1";
+        "--no-timing";
+      ]
+  in
+  Alcotest.(check int) "explore exit 0" 0 code;
+  let lines = List.map String.trim (String.split_on_char '\n' out) in
+  let prefix = "reproduce: racedet " in
+  let repro =
+    match List.find_opt (fun l -> String.starts_with ~prefix l) lines with
+    | Some l ->
+        String.sub l (String.length prefix)
+          (String.length l - String.length prefix)
+    | None -> Alcotest.fail "no reproduce: line"
+  in
+  Alcotest.(check bool) "selects the baseline by registry name" true
+    (contains repro "--detector eraser");
+  let code, replay, _ =
+    run (List.filter (( <> ) "") (String.split_on_char ' ' repro))
+  in
+  Alcotest.(check int) "replay exit 0" 0 code;
+  Alcotest.(check bool) "the replay runs Eraser" true
+    (contains replay "Dataraces reported by Eraser on:");
+  Alcotest.(check bool) "and reports the campaign's first race" true
+    (contains out "RayTrace.threadCount"
+    && contains replay "RayTrace.threadCount")
+
+(* [analyze] prints the static race set of the compile [run] executes,
+   so its statistics are the ones [run -v] reports. *)
+let test_analyze_matches_run () =
+  let code, analyze, _ = run [ "analyze"; "-b"; "tsp" ] in
+  Alcotest.(check int) "analyze exit 0" 0 code;
+  let code, verbose, _ = run [ "run"; "-b"; "tsp"; "-v" ] in
+  Alcotest.(check int) "run exit 0" 0 code;
+  Alcotest.(check bool) "analyze prints statistics" true
+    (contains analyze "in static race set:");
+  Alcotest.(check bool) "run -v prints the same statistics" true
+    (contains verbose (String.trim analyze))
 
 let test_merge_refuses_duplicate_index () =
   let obs = Filename.temp_file "drd_cli_shard" ".obs" in
@@ -377,8 +428,14 @@ let suite =
       (fun () -> test_runtime_error_is_exit_124 ());
     Alcotest.test_case "heap and call-depth limits are exit 124" `Quick
       (fun () -> test_resource_limits_are_exit_124 ());
-    Alcotest.test_case "detect -c BASELINE replays that baseline" `Quick
-      test_detect_config_selects_baseline;
+    Alcotest.test_case
+      "detect -c BASELINE replays that baseline no more: exit 124; \
+       --detector does"
+      `Quick test_baseline_selector;
+    Alcotest.test_case "baseline campaign's reproduce line replays" `Quick
+      test_baseline_campaign_replays;
+    Alcotest.test_case "analyze reports the set run instruments" `Quick
+      test_analyze_matches_run;
     Alcotest.test_case "merge refuses a duplicated run index" `Quick
       test_merge_refuses_duplicate_index;
   ]

@@ -11,13 +11,15 @@
    cells are numbered in component order), so a pass rewrite that
    changes an order fails here even when the program still runs.
 
-   Inputs: the six benchmarks under every [Config.all] entry, and
+   Inputs: the six benchmarks under every [Config.all] entry and each
+   baseline's [Registry.apply] row, and
    [Gen.generate ~seed:7 ~count:300] under [full] and [no_dominators].
    A digest file line is [<program> <config> <md5 hex>]. *)
 
 module H = Drd_harness
 module Pipeline = H.Pipeline
 module Config = H.Config
+module Registry = H.Registry
 module Programs = H.Programs
 module Ir = Drd_ir.Ir
 module Link = Drd_ir.Link
@@ -182,7 +184,10 @@ let cases () =
         List.map
           (fun (cfg : Config.t) ->
             (b.Programs.b_name, cfg.Config.name, b.Programs.b_source, cfg))
-          Config.all)
+          (Config.all
+          @ List.map
+              (fun e -> Registry.apply e Config.full)
+              Registry.[ eraser; objrace; vclock ]))
       Programs.benchmarks
   in
   let gen =

@@ -8,6 +8,7 @@ module Insert = Drd_instr.Insert
 module Static_weaker = Drd_instr.Static_weaker
 module Peel = Drd_instr.Peel
 module Detector = Drd_core.Detector
+module Pipeline = Drd_harness.Pipeline
 
 let compile_instrumented ?(peel = false) ?(weaker = false) source =
   let prog = Pipe.compile ~peel source in
@@ -21,7 +22,7 @@ let trace_count ?peel ?weaker source =
 
 let events ?peel ?weaker source =
   let out = Pipe.run ?peel ?weaker source in
-  out.Pipe.stats.Detector.events_in
+  (Option.get out.Pipeline.detector_stats).Detector.events_in
 
 let test_insertion_counts () =
   let src =
@@ -187,7 +188,7 @@ let test_loop_peeling_preserves_semantics () =
   let plain = Pipe.run loop_src in
   let peeled = Pipe.run ~peel:true ~weaker:true loop_src in
   Alcotest.(check (list (pair string int))) "same output"
-    (Pipe.ints plain.Pipe.prints) (Pipe.ints peeled.Pipe.prints)
+    (Pipe.ints plain.Pipeline.prints) (Pipe.ints peeled.Pipeline.prints)
 
 (* Nested loops: sor2-style row processing with hoisted subscripts. *)
 let nested_loop_src =
@@ -222,7 +223,7 @@ let test_nested_loop_peeling () =
     (peeled < 300);
   (* Semantics preserved. *)
   let a = Pipe.run nested_loop_src and b = Pipe.run ~peel:true ~weaker:true nested_loop_src in
-  Alcotest.(check (list (pair string int))) "same result" (Pipe.ints a.Pipe.prints) (Pipe.ints b.Pipe.prints)
+  Alcotest.(check (list (pair string int))) "same result" (Pipe.ints a.Pipeline.prints) (Pipe.ints b.Pipeline.prints)
 
 let test_break_prevents_peeling_but_stays_correct () =
   let src =
@@ -246,7 +247,7 @@ let test_break_prevents_peeling_but_stays_correct () =
   let plain = Pipe.run src in
   let peeled = Pipe.run ~peel:true ~weaker:true src in
   Alcotest.(check (list (pair string int))) "identical output"
-    (Pipe.ints plain.Pipe.prints) (Pipe.ints peeled.Pipe.prints)
+    (Pipe.ints plain.Pipeline.prints) (Pipe.ints peeled.Pipeline.prints)
 
 (* The paper's Section 7.2/8 verification: optimizations do not change
    which races are reported, on a representative multithreaded program. *)
@@ -280,16 +281,16 @@ let test_optimizations_preserve_reports () =
       let base = Pipe.run ~seed racy_threads_src in
       let opt = Pipe.run ~seed ~peel:true ~weaker:true racy_threads_src in
       Alcotest.(check (list string)) "same racy locations"
-        base.Pipe.race_locs opt.Pipe.race_locs;
+        base.Pipeline.races opt.Pipeline.races;
       Alcotest.(check bool) "found the hot race" true
         (List.exists
            (fun l -> Astring_contains.contains l ".hot")
-           base.Pipe.race_locs);
+           base.Pipeline.races);
       Alcotest.(check bool) "cold is quiet" true
         (not
            (List.exists
               (fun l -> Astring_contains.contains l ".cold")
-              base.Pipe.race_locs)))
+              base.Pipeline.races)))
     [ 3; 42; 777 ]
 
 let test_eliminated_count_reported () =

@@ -86,7 +86,8 @@ let test_mtrt_races () =
     (not (List.exists (contains_sub "raysTraced") objs))
 
 let test_mtrt_eraser_flags_join_idiom () =
-  let objs = objects Config.eraser "mtrt" in
+  let eraser = H.Registry.apply H.Registry.eraser Config.full in
+  let objs = objects eraser "mtrt" in
   Alcotest.(check bool)
     (Fmt.str "Eraser flags the post-join statistics (%s)"
        (String.concat ", " objs))

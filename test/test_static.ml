@@ -11,6 +11,7 @@ module Icg = Drd_static.Icg
 module Thread_spec = Drd_static.Thread_spec
 module Race_set = Drd_static.Race_set
 module Insert = Drd_instr.Insert
+module Pipeline = Drd_harness.Pipeline
 
 let analyze source =
   let prog = Pipe.compile source in
@@ -253,7 +254,7 @@ let test_static_filtering_preserves_reports () =
           let base = Pipe.run ~seed src in
           let filtered = Pipe.run ~seed ~static:true src in
           Alcotest.(check (list string)) "same racy locations"
-            base.Pipe.race_locs filtered.Pipe.race_locs)
+            base.Pipeline.races filtered.Pipeline.races)
         [ 11; 42 ])
     figure2_and_friends
 

@@ -5,15 +5,16 @@
 
 module Value = Drd_vm.Value
 module Interp = Drd_vm.Interp
+module Pipeline = Drd_harness.Pipeline
 
 let check_ints msg expected outcome =
-  Alcotest.(check (list (pair string int))) msg expected (Pipe.ints outcome.Pipe.prints)
+  Alcotest.(check (list (pair string int))) msg expected (Pipe.ints outcome.Pipeline.prints)
 
 (* Check reported race locations by substring patterns (heap ids in the
    decoded names depend on allocation order, so exact names are
    brittle). *)
 let check_races msg patterns out =
-  let locs = out.Pipe.race_locs in
+  let locs = out.Pipeline.races in
   Alcotest.(check int) (msg ^ ": count") (List.length patterns) (List.length locs);
   List.iter2
     (fun pat loc ->
@@ -45,7 +46,7 @@ let test_arith_and_arrays () =
     |}
   in
   check_ints "arith" [ ("x", 14); ("y", 2); ("a4", 16); ("len", 5); ("b", 1) ] out;
-  Alcotest.(check int) "no races" 0 (List.length out.Pipe.races)
+  Alcotest.(check int) "no races" 0 (List.length out.Pipeline.races)
 
 let test_control_flow () =
   let out =
@@ -163,8 +164,8 @@ let test_threads_synchronized_counter () =
   let out = Pipe.run (counter_src ~sync:true) in
   check_ints "counter value" [ ("n", 100) ] out;
   Alcotest.(check (list string)) "no races with synchronization" []
-    out.Pipe.race_locs;
-  Alcotest.(check int) "three threads" 3 out.Pipe.result.Interp.r_max_threads
+    out.Pipeline.races;
+  Alcotest.(check int) "three threads" 3 out.Pipeline.threads
 
 let test_threads_unsynchronized_counter_races () =
   let out = Pipe.run (counter_src ~sync:false) in
@@ -217,7 +218,7 @@ let test_figure2_feasible_race () =
   List.iter
     (fun seed ->
       let out = Pipe.run ~seed (figure2 ~same_pq:true) in
-      races := out.Pipe.race_locs :: !races)
+      races := out.Pipeline.races :: !races)
     [ 1; 7; 42; 1234 ];
   List.iter
     (fun locs ->
@@ -283,7 +284,7 @@ let test_join_semantics () =
       in
       check_ints "join waits" [ ("r", 55) ] out;
       Alcotest.(check (list string)) "join orders accesses" []
-        out.Pipe.race_locs)
+        out.Pipeline.races)
     [ 1; 5; 42 ]
 
 let expect_error msg pattern f =
@@ -345,8 +346,9 @@ let test_deadlock_detected () =
 let test_determinism () =
   let run () =
     let out = Pipe.run ~seed:7 (counter_src ~sync:false) in
-    (out.Pipe.race_locs, out.Pipe.stats.Drd_core.Detector.events_in,
-     out.Pipe.result.Interp.r_steps)
+    ( out.Pipeline.races,
+      (Option.get out.Pipeline.detector_stats).Drd_core.Detector.events_in,
+      out.Pipeline.steps )
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "identical reruns" true (a = b)

@@ -1,10 +1,13 @@
 (* Additional VM semantics coverage: recursion, scoping, reference
    semantics, scheduler variation, and interpreter edge cases. *)
 
+module Pipeline = Drd_harness.Pipeline
+module Config = Drd_harness.Config
+
 let check_ints msg expected outcome =
   Alcotest.(check (list (pair string int)))
     msg expected
-    (Pipe.ints outcome.Pipe.prints)
+    (Pipe.ints outcome.Pipeline.prints)
 
 let test_recursion () =
   let out =
@@ -130,8 +133,8 @@ let test_many_threads () =
     |}
   in
   check_ints "ten workers" [ ("total", 55) ] out;
-  Alcotest.(check int) "eleven threads" 11 out.Pipe.result.Drd_vm.Interp.r_max_threads;
-  Alcotest.(check (list string)) "no races" [] out.Pipe.race_locs
+  Alcotest.(check int) "eleven threads" 11 out.Pipeline.threads;
+  Alcotest.(check (list string)) "no races" [] out.Pipeline.races
 
 let test_join_unstarted_thread () =
   let out =
@@ -164,7 +167,7 @@ let test_print_bool () =
     Pipe.run
       {| class Main { static void main() { print("b", 1 < 2); print("c", false); } } |}
   in
-  match out.Pipe.prints with
+  match out.Pipeline.prints with
   | [ ("b", Some (Drd_vm.Value.Vbool true)); ("c", Some (Drd_vm.Value.Vbool false)) ] -> ()
   | _ -> Alcotest.fail "boolean prints"
 
@@ -176,12 +179,16 @@ let test_instrumented_semantics_equal () =
   in
   List.iter
     (fun src ->
-      let base = Pipe.run_base src in
+      let _, base =
+        Pipeline.run_source
+          { (Pipe.config ()) with Config.detector = Config.NoDetect }
+          src
+      in
       let opt = Pipe.run ~static:true ~peel:true ~weaker:true src in
       Alcotest.(check (list (pair string int)))
         "same output"
-        (Pipe.ints base.Drd_vm.Interp.r_prints)
-        (Pipe.ints opt.Pipe.prints))
+        (Pipe.ints base.Pipeline.prints)
+        (Pipe.ints opt.Pipeline.prints))
     srcs
 
 let suite =

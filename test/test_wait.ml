@@ -5,11 +5,12 @@
    released), and lost-notify deadlock diagnosis. *)
 
 module Interp = Drd_vm.Interp
+module Pipeline = Drd_harness.Pipeline
 
 let check_ints msg expected outcome =
   Alcotest.(check (list (pair string int)))
     msg expected
-    (Pipe.ints outcome.Pipe.prints)
+    (Pipe.ints outcome.Pipeline.prints)
 
 (* A classic bounded buffer: producer/consumer fully synchronized via
    wait/notifyAll — correct results under every seed, and no races. *)
@@ -66,7 +67,7 @@ let test_producer_consumer () =
       check_ints (Printf.sprintf "seed %d" seed) [ ("sum", 210) ] out;
       Alcotest.(check (list string))
         (Printf.sprintf "no races (seed %d)" seed)
-        [] out.Pipe.race_locs)
+        [] out.Pipeline.races)
     [ 1; 7; 42; 99; 1234 ]
 
 let test_notify_one_vs_all () =
@@ -258,12 +259,12 @@ let test_detector_sees_release_during_wait () =
   Alcotest.(check bool) "data race found" true
     (List.exists
        (fun l -> Astring_contains.contains l ".data")
-       out.Pipe.race_locs);
+       out.Pipeline.races);
   Alcotest.(check bool) "ready is synchronized, quiet" true
     (not
        (List.exists
           (fun l -> Astring_contains.contains l ".ready")
-          out.Pipe.race_locs))
+          out.Pipeline.races))
 
 let suite =
   [

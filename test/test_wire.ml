@@ -58,13 +58,19 @@ let gen_policy =
           (int_range 1 8) (int_range 100 50_000);
       ])
 
+(* The Table 2/3 rows, then each baseline's registry row. *)
+let configs =
+  H.Config.all
+  @ List.map
+      (fun e -> H.Registry.apply e H.Config.full)
+      H.Registry.[ eraser; objrace; vclock ]
+
 let gen_config =
   QCheck.Gen.(
     map
       (fun (base, seed, quantum, policy) ->
         { base with H.Config.seed; quantum; policy })
-      (quad (oneofl H.Config.all) (int_range 0 10_000) (int_range 1 500)
-         gen_policy))
+      (quad (oneofl configs) (int_range 0 10_000) (int_range 1 500) gen_policy))
 
 let gen_strategy =
   QCheck.Gen.(
